@@ -118,11 +118,11 @@ func TestDigestedStepSteadyStateAllocs(t *testing.T) {
 }
 
 // TestCalendarResizeOscillationAllocs forces the calendar queue across
-// its bucket-resize boundaries in both directions — fill from empty to
+// its slot-resize boundaries in both directions — fill from empty to
 // 512 pending (grow rebuilds at count > 2·nb: 17, 33, …, 257) then
 // drain back to empty (shrink rebuilds at count < nb/2) — and asserts
 // the cycle allocates nothing once the backing arrays are warm.
-// rebuild() reuses the buckets, scratch, and overflow arrays across
+// rebuild() reuses the slots, scratch, and overflow arrays across
 // resizes precisely so population oscillation around a boundary cannot
 // turn into allocation churn.
 func TestCalendarResizeOscillationAllocs(t *testing.T) {
@@ -160,12 +160,12 @@ func mallocs(f func()) uint64 {
 // TestCalendarGrowthAllocsOnlyAtResize pins where the calendar's cold
 // path is allowed to allocate: growing a fresh scheduler to 4096
 // pending events may allocate only at event-slab boundaries (one slab
-// per 64 records) and bucket-array resizes (a handful per rebuild) —
+// per 64 records) and slot-array resizes (a handful per rebuild) —
 // far below one allocation per event — and once the slabs, free list,
-// buckets, scratch, and overflow arrays are warm at the workload's
+// slots, scratch, and overflow arrays are warm at the workload's
 // maximum extent, regrowing after a full drain must allocate nothing at
 // all even though it crosses every resize boundary again. (Two warm-up
-// cycles, not one: the post-drain calendar geometry — width, start —
+// cycles, not one: the post-drain calendar geometry — width, origin —
 // differs from the fresh one, so the second pass can ratchet a backing
 // array a few elements larger; from the third pass on the capacities
 // are a fixed point.)

@@ -41,48 +41,59 @@ func auditHeap(t *testing.T, items *[]*Event, base int32) {
 	}
 }
 
-// auditCalendar checks the calendar queue: each bucket is a consistent
-// doubly-linked list sorted by (time, seq) whose members map to that
-// bucket under the current (start, width) geometry, the scan cursor has
-// not passed a pending event, overflow events genuinely lie beyond the
-// bucket span, and the population counters agree with the structures.
+// auditCalendar checks the rolling-window calendar: the slot count is a
+// power of two; each slot is a consistent doubly-linked list sorted by
+// (time, seq); every bucketed event's virtual bucket lies in the window
+// [cur, cur+nb) and sits in slot v & mask, except events earlier than
+// the cursor's bucket, which are clamped into the cursor's slot; every
+// overflow event maps at or beyond cur+nb; and the population counters
+// agree with the structures.
 func auditCalendar(t *testing.T, c *calendar) {
 	t.Helper()
-	if c.nb != len(c.buckets) {
-		t.Fatalf("nb %d but %d buckets", c.nb, len(c.buckets))
+	if c.nb != len(c.slots) || c.nb < calMinBuckets || c.nb&(c.nb-1) != 0 || c.mask != c.nb-1 {
+		t.Fatalf("nb %d, mask %d, %d slots: want a power of two >= %d", c.nb, c.mask, len(c.slots), calMinBuckets)
+	}
+	if c.cur < 0 {
+		t.Fatalf("cursor %d is negative", c.cur)
 	}
 	inBuckets := 0
-	for i := range c.buckets {
-		b := c.buckets[i]
+	for i := range c.slots {
+		b := c.slots[i]
 		if (b.head == nil) != (b.tail == nil) {
-			t.Fatalf("bucket %d has head nil=%v tail nil=%v", i, b.head == nil, b.tail == nil)
+			t.Fatalf("slot %d has head nil=%v tail nil=%v", i, b.head == nil, b.tail == nil)
 		}
 		var prev *Event
 		for e := b.head; e != nil; e = e.next {
 			inBuckets++
-			if i < c.cur {
-				t.Fatalf("cursor %d passed pending event in bucket %d", c.cur, i)
-			}
 			if e.prev != prev {
-				t.Fatalf("bucket %d list has broken prev link at seq %d", i, e.seq)
+				t.Fatalf("slot %d list has broken prev link at seq %d", i, e.seq)
 			}
 			if prev != nil && !less(prev, e) {
-				t.Fatalf("bucket %d not sorted: (%v,%d) before (%v,%d)",
+				t.Fatalf("slot %d not sorted: (%v,%d) before (%v,%d)",
 					i, prev.time, prev.seq, e.time, e.seq)
 			}
 			if int(e.index) != i {
-				t.Fatalf("event in bucket %d has index %d", i, e.index)
+				t.Fatalf("event in slot %d has index %d", i, e.index)
 			}
 			if e.action == nil {
-				t.Fatalf("pending event in bucket %d has nil action", i)
+				t.Fatalf("pending event in slot %d has nil action", i)
 			}
-			if j, ovf := c.mapTime(e.time); ovf || j != i {
-				t.Fatalf("event at t=%v sits in bucket %d, maps to (%d, ovf=%v)", e.time, i, j, ovf)
+			v, ovf := c.mapTime(e.time)
+			switch {
+			case ovf:
+				t.Fatalf("event at t=%v sits in slot %d but maps beyond the window [%d, %d)",
+					e.time, i, c.cur, c.cur+c.nb)
+			case v < c.cur && i != c.cur&c.mask:
+				t.Fatalf("event at t=%v maps to bucket %d before cursor %d but sits in slot %d, not the cursor's %d",
+					e.time, v, c.cur, i, c.cur&c.mask)
+			case v >= c.cur && v&c.mask != i:
+				t.Fatalf("event at t=%v maps to bucket %d (slot %d) but sits in slot %d",
+					e.time, v, v&c.mask, i)
 			}
 			prev = e
 		}
 		if b.tail != prev {
-			t.Fatalf("bucket %d tail does not terminate its list", i)
+			t.Fatalf("slot %d tail does not terminate its list", i)
 		}
 	}
 	if inBuckets != c.inBuckets {
@@ -97,18 +108,20 @@ func auditCalendar(t *testing.T, c *calendar) {
 	auditHeap(t, &c.ovf.items, c.ovf.base)
 	for _, e := range c.ovf.items {
 		if _, ovf := c.mapTime(e.time); !ovf {
-			t.Fatalf("overflow event at t=%v maps inside the bucket span", e.time)
+			t.Fatalf("overflow event at t=%v maps inside the window [%d, %d)", e.time, c.cur, c.cur+c.nb)
 		}
 		if e.next != nil || e.prev != nil {
-			t.Fatalf("overflow event at t=%v still bucket-linked", e.time)
+			t.Fatalf("overflow event at t=%v still slot-linked", e.time)
 		}
 	}
 }
 
-// mapTime replicates place's routing arithmetic for the auditor.
+// mapTime replicates place's routing arithmetic for the auditor: the
+// virtual bucket of time tm (0 for times before the origin), or
+// overflow if it maps at or beyond the window's top.
 func (c *calendar) mapTime(tm float64) (bucket int, overflow bool) {
-	d := (tm - c.start) * c.invw
-	if d >= float64(c.nb) {
+	d := (tm - c.origin) * c.invw
+	if d >= float64(c.cur+c.nb) {
 		return 0, true
 	}
 	if d > 0 {

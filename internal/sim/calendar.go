@@ -1,55 +1,71 @@
 package sim
 
-// calendar is the kernel's default future-event list: an adaptive
-// calendar queue (Brown, CACM 31(10), 1988; two-level variant) with
-// amortized O(1) insert, pop-min, and cancel, replacing the binary
-// heap's O(log n) sift on every operation.
+// calendar is the kernel's default future-event list: a rolling-window
+// calendar queue (after Brown, CACM 31(10), 1988) with amortized O(1)
+// insert, pop-min, and cancel, replacing the binary heap's O(log n)
+// sift on every operation.
 //
-// Layout. The bucket array spans one "year" of simulated time starting
-// at start: bucket i holds the pending events with
+// Layout. Simulated time is cut into virtual buckets of one width,
+// counted from origin: an event at time t belongs to virtual bucket
 //
-//	(time - start) * invw  in  [i, i+1)
+//	v = ⌊(t − origin)·invw⌋
 //
-// as a doubly-linked list kept sorted by (time, seq), so the head of the
-// first non-empty bucket is the global minimum and pop is an unlink.
-// Events beyond the year (index >= nb) go to an overflow min-heap; when
-// the buckets drain, the year jumps to the overflow's minimum and the
-// newly-due prefix migrates into buckets (each far-future event pays one
-// O(log n) detour, once, instead of every event paying O(log n)).
+// The nb slots (a power of two) hold the window of virtual buckets
+// [cur, cur+nb), bucket v in slot v & mask, each as a doubly-linked list
+// kept sorted by (time, seq). The cursor rests on the first non-empty
+// bucket, so the head of its slot is the global minimum and pop is an
+// unlink. An insert earlier than the cursor's bucket (the clock trails
+// the cursor after a peek or a re-anchor) is clamped into the cursor's
+// slot, where the sorted insert puts it ahead of the later events.
+// Events beyond the window wait in an overflow min-heap; every cursor
+// advance opens one virtual bucket at the window's top and migrates the
+// overflow events that now fall inside it, so a far-future event (a
+// terminal think time) pays one O(log n) detour while the head keeps
+// rolling. Only when the window holds nothing at all does the origin
+// re-anchor at the overflow minimum.
 //
-// Adaptivity. The bucket count tracks the population (double when count
-// > 2·nb, halve when count < nb/2) and every rebuild re-estimates the
-// bucket width from the bulk spread of the pending set (estimateWidth:
-// mean gap over the earliest 7/8 of events × calWidthFactor, the far
-// tail excluded), so skewed event-time distributions spread over the
-// array instead of piling into one bucket. A sorted-insert walk that
-// exceeds calWalkTrigger links flags the width as stale and forces a
-// same-size rebuild — the escape hatch for distributions that drift
-// without changing the population.
+// Adaptivity. The slot count tracks the population (double when count
+// > 2·nb, halve when count < nb/2). The bucket width is calGapFactor ×
+// the mean gap between popped events: the event density at the head,
+// where inserts land and the cursor walks, so a bucket holds a few
+// events however long a far-future tail the pending set carries. The
+// estimate is refreshed every calSampleTurnovers population turnovers
+// and on every resize; a same-size rebuild follows only when it has
+// moved more than calRetune× from the width in use. Before any pops
+// have been seen, the width comes from the bulk spread of the pending
+// set instead (spreadWidth).
 //
 // Determinism. Pop order is by (time, seq) exactly — the same total
-// order as the reference heap — because bucket mapping is monotone in
-// time (subtraction and multiplication by a positive width are
-// monotone), within-bucket lists are sorted, and overflow events are
-// strictly later than every bucketed event. Bucket-width and resize
+// order as the reference heap — because the virtual-bucket map is
+// monotone in time (subtraction and multiplication by a positive width
+// are monotone) and the window maps distinct buckets to distinct slots,
+// within-slot lists are sorted, and overflow events map strictly beyond
+// the window, hence later than every bucketed event. Width and resize
 // heuristics can therefore never change the fire order, only the cost
 // of maintaining it: trace digests are bit-identical to the heap's by
 // construction. See DESIGN.md §12.
 type calendar struct {
-	buckets []bucket
-	nb      int     // len(buckets), kept >= calMinBuckets
-	width   float64 // simulated-time span of one bucket
-	invw    float64 // 1/width; bucket mapping multiplies, never divides
-	start   float64 // left edge of buckets[0]'s span
-	cur     int     // scan cursor: buckets[:cur] are empty
+	slots  []bucket
+	nb     int     // len(slots), a power of two >= calMinBuckets
+	mask   int     // nb - 1
+	width  float64 // simulated-time span of one bucket
+	invw   float64 // 1/width; bucket mapping multiplies, never divides
+	origin float64 // left edge of virtual bucket 0
+	cur    int     // virtual bucket under the cursor; earlier ones are empty
 
-	inBuckets int       // events currently in buckets
-	ovf       eventHeap // far-future events, time beyond the bucket span
+	inBuckets int       // events currently in slots
+	ovf       eventHeap // far-future events, mapping at or beyond cur+nb
 	count     int       // total pending (inBuckets + ovf.len())
 
-	scratch      []*Event // rebuild staging, capacity reused
-	sinceRebuild int      // inserts since the last rebuild (thrash guard)
-	staleWidth   bool     // a sorted-insert walk blew past calWalkTrigger
+	scratch []*Event // rebuild staging, capacity reused
+
+	// Head sample: pops events have fired since the sample began at time
+	// mark, the latest at time last; the sample closes at sampleAt pops.
+	// headWidth is the width the last closed sample asks for,
+	// calGapFactor × its mean inter-pop gap; 0 until one has closed.
+	pops, sampleAt int
+	mark, last     float64
+	headWidth      float64
 }
 
 // bucket is one calendar slot: a (time, seq)-sorted doubly-linked list
@@ -60,23 +76,30 @@ type bucket struct {
 }
 
 const (
-	// calMinBuckets is the smallest bucket array; below this the
-	// constant factors of resizing outweigh scan cost.
+	// calMinBuckets is the smallest slot array; below this the constant
+	// factors of resizing outweigh scan cost.
 	calMinBuckets = 8
-	// calWidthFactor scales the estimated mean event gap into a bucket
-	// width; see estimateWidth.
-	calWidthFactor = 8
-	// calWalkTrigger is the sorted-insert walk length past which the
-	// bucket width is declared stale (events are piling into one bucket).
-	calWalkTrigger = 64
+	// calGapFactor scales the mean gap between pops into a bucket width:
+	// the cursor's bucket holds about this many events that will fire.
+	calGapFactor = 4
+	// calSampleTurnovers is how many times the pending population turns
+	// over (in pops) between width re-estimates.
+	calSampleTurnovers = 2
+	// calMinSample is the fewest pops a head sample may close on.
+	calMinSample = 32
+	// calRetune is the factor by which the estimate must move away from
+	// the width in use before a same-size rebuild applies it.
+	calRetune = 2
 )
 
 func newCalendar() *calendar {
 	c := &calendar{
-		buckets: make([]bucket, calMinBuckets),
-		nb:      calMinBuckets,
-		width:   1,
-		invw:    1,
+		slots:    make([]bucket, calMinBuckets),
+		nb:       calMinBuckets,
+		mask:     calMinBuckets - 1,
+		width:    1,
+		invw:     1,
+		sampleAt: calMinSample,
 	}
 	c.ovf.base = calMinBuckets
 	return c
@@ -84,55 +107,40 @@ func newCalendar() *calendar {
 
 func (c *calendar) len() int { return c.count }
 
-// insert schedules e, growing the bucket array or refreshing a stale
-// width when the population calls for it.
+// insert schedules e, growing the slot array when the population calls
+// for it.
 func (c *calendar) insert(e *Event) {
 	c.count++
-	c.sinceRebuild++
 	c.place(e)
 	if c.count > 2*c.nb {
 		c.rebuild(2 * c.nb)
-	} else if c.staleWidth {
-		c.staleWidth = false
-		if c.sinceRebuild > c.count/2 {
-			c.rebuild(c.nb)
-		}
 	}
 }
 
-// place routes e to its bucket or the overflow heap. It performs no
+// place routes e to its slot or the overflow heap. It performs no
 // resize checks, so rebuild and overflow migration can reuse it.
 func (c *calendar) place(e *Event) {
-	d := (e.time - c.start) * c.invw
-	if d >= float64(c.nb) {
-		// Beyond the bucket span: far-future overflow.
+	d := (e.time - c.origin) * c.invw
+	if d >= float64(c.cur+c.nb) {
+		// Beyond the window: far-future overflow.
 		c.ovf.push(e)
 		return
 	}
-	i := 0
-	if d > 0 {
-		i = int(d)
+	// Clamp anything before the cursor's bucket into the cursor's slot.
+	v := c.cur
+	if d > float64(v) {
+		v = int(d)
 	}
-	// After a year jump, start can exceed an insert's time; such events
-	// clamp into bucket 0, which the cursor reset below keeps correct
-	// (within-bucket order handles any time range).
-	if i < c.cur {
-		c.cur = i
-	}
+	i := v & c.mask
 	c.inBuckets++
 	e.index = int32(i)
-	b := &c.buckets[i]
+	b := &c.slots[i]
 	// Sorted insert scanning from the tail: new events usually carry the
 	// latest (time, seq) in their bucket — in particular, a same-instant
 	// burst appends in O(1) because seq always increases.
 	p := b.tail
-	walk := 0
 	for p != nil && less(e, p) {
 		p = p.prev
-		walk++
-	}
-	if walk > calWalkTrigger {
-		c.staleWidth = true
 	}
 	if p == nil {
 		e.prev = nil
@@ -157,7 +165,7 @@ func (c *calendar) place(e *Event) {
 
 // unlink removes a bucketed event from its list in O(1).
 func (c *calendar) unlink(e *Event) {
-	b := &c.buckets[e.index]
+	b := &c.slots[e.index]
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -172,20 +180,33 @@ func (c *calendar) unlink(e *Event) {
 }
 
 // peek returns the earliest pending event without removing it, or nil.
-// It advances the scan cursor past drained buckets and jumps the year
-// when only far-future events remain; both moves are state the next
-// peek/pop reuses, never information loss.
+// It advances the cursor past empty buckets, re-anchoring first if only
+// overflow events remain; both moves are state the next peek/pop
+// reuses, never information loss.
 func (c *calendar) peek() *Event {
 	if c.count == 0 {
 		return nil
 	}
 	if c.inBuckets == 0 {
-		c.jump()
+		c.origin = c.ovf.min().time
+		c.cur = 0
+		c.migrate()
 	}
-	for c.buckets[c.cur].head == nil {
+	for c.slots[c.cur&c.mask].head == nil {
 		c.cur++
+		c.migrate()
 	}
-	return c.buckets[c.cur].head
+	return c.slots[c.cur&c.mask].head
+}
+
+// migrate moves the overflow events that map inside the window into
+// slots. The bound is the exact expression place routes by, so a
+// migrated event can never bounce back to overflow.
+func (c *calendar) migrate() {
+	top := float64(c.cur + c.nb)
+	for c.ovf.len() > 0 && (c.ovf.min().time-c.origin)*c.invw < top {
+		c.place(c.ovf.pop())
+	}
 }
 
 // pop removes and returns the earliest pending event, or nil.
@@ -197,8 +218,14 @@ func (c *calendar) pop() *Event {
 	c.unlink(e)
 	c.inBuckets--
 	c.count--
-	if c.nb > calMinBuckets && c.count < c.nb/2 {
-		c.rebuild(c.nb / 2)
+	c.last = e.time
+	c.pops++
+	nb := c.nb
+	if nb > calMinBuckets && c.count < nb/2 {
+		nb /= 2
+	}
+	if nb != c.nb || (c.pops >= c.sampleAt && c.retune()) {
+		c.rebuild(nb)
 	}
 	return e
 }
@@ -217,53 +244,69 @@ func (c *calendar) remove(e *Event) {
 	}
 }
 
-// jump re-anchors the year at the earliest far-future event — only
-// legal with empty buckets — and migrates the newly-due overflow prefix
-// into buckets. The migration bound uses the exact expression place
-// routes by, so a migrated event can never bounce back to overflow.
-func (c *calendar) jump() {
-	c.start = c.ovf.min().time
-	c.cur = 0
-	for c.ovf.len() > 0 && (c.ovf.min().time-c.start)*c.invw < float64(c.nb) {
-		c.place(c.ovf.pop())
+// sample closes the head sample once it holds calMinSample pops, taking
+// the width it asks for as the new estimate (a sample spanning no time,
+// or an absurd one, keeps the old), and opens the next sample.
+func (c *calendar) sample() {
+	if c.pops < calMinSample {
+		return
 	}
+	if w := calGapFactor * (c.last - c.mark) / float64(c.pops); w > 1e-300 && w < 1e300 {
+		c.headWidth = w
+	}
+	c.mark = c.last
+	c.pops = 0
+	c.sampleAt = calSampleTurnovers*c.count + calMinSample
 }
 
-// rebuild resizes the bucket array to nb slots, re-estimates the bucket
-// width, and re-inserts every pending event. Collection walks buckets in
-// scan order then drains the overflow heap, which yields the events in
-// ascending (time, seq) — so every re-insert is an O(1) tail append and
-// the whole rebuild is O(count). Backing arrays (buckets, scratch,
-// overflow) are reused across rebuilds: steady-state oscillation across
-// a resize boundary allocates nothing once capacities are warm.
+// retune closes the head sample and reports whether the width it asks
+// for lies more than calRetune× away from the width in use.
+func (c *calendar) retune() bool {
+	c.sample()
+	w := c.headWidth
+	return w > calRetune*c.width || w > 0 && calRetune*w < c.width
+}
+
+// rebuild resizes the slot array to nb, re-estimates the bucket width,
+// re-anchors the window at the earliest pending event, and re-inserts
+// every pending event. Collection walks the window in bucket order then
+// drains the overflow heap, which yields the events in ascending
+// (time, seq) — so every re-insert is an O(1) tail append (or an O(1)
+// push of a new heap maximum) and the whole rebuild is O(count) plus
+// the overflow drain. Backing arrays (slots, scratch, overflow) are
+// reused across rebuilds: steady-state oscillation across a resize
+// boundary allocates nothing once capacities are warm.
 func (c *calendar) rebuild(nb int) {
 	if nb < calMinBuckets {
 		nb = calMinBuckets
 	}
 	sc := c.scratch[:0]
-	for i := c.cur; i < c.nb; i++ {
-		for e := c.buckets[i].head; e != nil; e = e.next {
+	for v := c.cur; len(sc) < c.inBuckets; v++ {
+		for e := c.slots[v&c.mask].head; e != nil; e = e.next {
 			sc = append(sc, e)
 		}
 	}
 	for c.ovf.len() > 0 {
 		sc = append(sc, c.ovf.pop())
 	}
-	c.setWidth(c.estimateWidth(sc))
-	if cap(c.buckets) >= nb {
-		c.buckets = c.buckets[:nb]
-		for i := range c.buckets {
-			c.buckets[i] = bucket{}
-		}
-	} else {
-		c.buckets = make([]bucket, nb)
+	c.sample()
+	w := c.headWidth
+	if w == 0 {
+		w = c.spreadWidth(sc)
 	}
-	c.nb = nb
+	c.width, c.invw = w, 1/w
+	if cap(c.slots) >= nb {
+		c.slots = c.slots[:nb]
+		clear(c.slots)
+	} else {
+		c.slots = make([]bucket, nb)
+	}
+	c.nb, c.mask = nb, nb-1
 	c.ovf.base = int32(nb)
 	c.inBuckets = 0
 	c.cur = 0
 	if len(sc) > 0 {
-		c.start = sc[0].time
+		c.origin = sc[0].time
 	}
 	for i, e := range sc {
 		e.next, e.prev = nil, nil
@@ -271,29 +314,15 @@ func (c *calendar) rebuild(nb int) {
 		sc[i] = nil
 	}
 	c.scratch = sc[:0]
-	c.sinceRebuild = 0
-	c.staleWidth = false
 }
 
-func (c *calendar) setWidth(w float64) {
-	c.width = w
-	c.invw = 1 / w
-}
-
-// estimateWidth derives the new bucket width from the sorted pending
-// set using a bulk-spread rule: the average gap across the earliest 7/8
-// of the events (the far tail is excluded so one distant straggler
-// can't blow the span up), scaled by calWidthFactor. Compared with
-// Brown's head-sampling rule this sees the whole distribution, which
-// matters for heavy-tailed offsets: sampling only the queue head reads
-// the smallest order-statistic spacings and yields a span far narrower
-// than the pending window, pushing the bulk of events through the
-// overflow heap. The factor balances sorted-insert walk length (wider
-// buckets hold more events) against overflow traffic (a short year
-// expires sooner); the estimate tunes only performance — fire order is
-// width-independent. With fewer than two distinct times the current
-// width stands.
-func (c *calendar) estimateWidth(sorted []*Event) float64 {
+// spreadWidth is the fallback width before any head sample has closed:
+// the mean gap across the earliest 7/8 of the sorted pending set (the
+// far tail is excluded so one distant straggler can't blow the span
+// up), scaled by calGapFactor — the gap pops would show if nothing new
+// were scheduled. With fewer than two distinct times, or a degenerate
+// spread, the current width stands.
+func (c *calendar) spreadWidth(sorted []*Event) float64 {
 	n := len(sorted)
 	if n < 2 {
 		return c.width
@@ -302,11 +331,7 @@ func (c *calendar) estimateWidth(sorted []*Event) float64 {
 	if n >= 8 {
 		q = n - n/8
 	}
-	spread := sorted[q].time - sorted[0].time
-	w := calWidthFactor * spread / float64(q)
-	// Degenerate spreads (all same-instant, subnormal gaps,
-	// near-overflow times) keep the old width; correctness never
-	// depends on it.
+	w := calGapFactor * (sorted[q].time - sorted[0].time) / float64(q)
 	if !(w > 1e-300) || w > 1e300 {
 		return c.width
 	}

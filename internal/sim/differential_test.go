@@ -40,7 +40,7 @@ var diffProfiles = []diffProfile{
 	{
 		// Far-future heavy: a third of the events land orders of
 		// magnitude beyond the bucket span, living in the overflow
-		// heap until a year jump migrates them.
+		// heap until the window reaches them.
 		name: "far-future",
 		delay: func(r *rand.Rand) float64 {
 			if r.Intn(3) == 0 {
@@ -72,6 +72,21 @@ var diffProfiles = []diffProfile{
 		},
 		cancelW: 40, stepW: 25,
 	},
+	{
+		// Mixed timescales, the simulator's own shape: most pending
+		// events sit far out (terminal think times, Exp mean 350) while
+		// most inserts land near the head (service steps, Exp mean 1), so
+		// the cursor rolls through many windows and far events migrate in
+		// from overflow as it goes.
+		name: "mixed-timescale",
+		delay: func(r *rand.Rand) float64 {
+			if r.Intn(10) == 0 {
+				return 350 * r.ExpFloat64()
+			}
+			return r.ExpFloat64()
+		},
+		cancelW: 10, stepW: 40,
+	},
 }
 
 // TestDifferentialCalendarVsHeap drives the calendar-queue and
@@ -80,8 +95,8 @@ var diffProfiles = []diffProfile{
 // and seq of every pop), same clocks, same pending counts, same Cancel
 // results, same handle liveness, and same free-list population. The
 // profiles cover the distributions the calendar's width heuristics care
-// about — bursty, far-future, equal-timestamp-heavy, cancel-heavy —
-// precisely because those heuristics must never affect order, only
+// about — bursty, far-future, equal-timestamp-heavy, cancel-heavy,
+// mixed-timescale — precisely because those heuristics must never affect order, only
 // cost. Structural audits (auditScheduler) run periodically and at the
 // end of each phase; running them on every op is quadratic and is the
 // fuzz target's job.

@@ -27,9 +27,9 @@ import (
 // Scheduled times are quantized to small integers so that same-instant
 // collisions — the FIFO tie-break's interesting case — are common, and
 // every 16th delay lands far in the future to exercise the calendar
-// queue's overflow heap and year jumps. Long insert or drain runs in the
-// input cross the calendar's bucket-resize boundaries (count > 2·nb and
-// count < nb/2), so rebuilds are covered by construction.
+// queue's overflow heap and window migration. Long insert or drain runs
+// in the input cross the calendar's slot-resize boundaries (count > 2·nb
+// and count < nb/2), so rebuilds are covered by construction.
 func FuzzSchedulerHeap(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 3, 3, 3})
 	f.Add([]byte{0, 0, 0, 0, 3, 2, 0, 2, 1, 3, 3, 3, 3})
@@ -45,8 +45,20 @@ func FuzzSchedulerHeap(f *testing.F) {
 		grow = append(grow, 3)
 	}
 	f.Add(grow)
-	// Far-future heavy: odd delay bytes ≥ 0x10 overflow the year span.
+	// Far-future heavy: odd delay bytes ≥ 0x10 overflow the window.
 	f.Add([]byte{0, 0x9f, 0, 0xaf, 0, 1, 3, 3, 3, 0, 0xff, 2, 0, 3})
+	// Mixed timescales: a standing population of far-future events
+	// (delay bytes ≡ 9 mod 16) under a long run of near inserts and
+	// steps, so the cursor rolls through many windows and the far events
+	// migrate in from overflow as it reaches them.
+	mixed := make([]byte, 0, 700)
+	for i := 0; i < 48; i++ {
+		mixed = append(mixed, 0, byte(16*(i%16)+9))
+	}
+	for i := 0; i < 200; i++ {
+		mixed = append(mixed, 1, byte(i%8), 3)
+	}
+	f.Add(mixed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cal := New()
@@ -136,7 +148,7 @@ func FuzzSchedulerHeap(f *testing.F) {
 				delay := float64(d % 8)
 				if d%16 == 9 {
 					// A far-future event: lands well beyond the calendar's
-					// bucket span, exercising overflow and year jumps.
+					// window, exercising overflow and migration.
 					delay = 1000 + float64(d)
 				}
 				var ch, rh Handle

@@ -42,8 +42,8 @@ type Event struct {
 	time float64
 	seq  uint64
 	// index locates the pending event inside its future-event list — a
-	// heap position for Impl Heap, a bucket number (or overflow-heap
-	// position offset by the bucket count) for Impl Calendar — and is -1
+	// heap position for Impl Heap, a slot number (or overflow-heap
+	// position offset by the slot count) for Impl Calendar — and is -1
 	// once the event fires or is cancelled.
 	index int32
 	// next and prev thread the event through its calendar bucket's
@@ -58,11 +58,15 @@ type Event struct {
 	// is the untagged default.
 	//
 	// Registry of kind bytes across the model packages (high nibble =
-	// subsystem, kept here so new tags don't collide):
+	// subsystem, kept here so new tags don't collide). 0x22 and 0x23 are
+	// ring message kinds (network.Message.Kind): the ring tags a
+	// transmission with its message's kind in place of 0x21.
 	//
 	//	0x11 queue:    FCFS departure
 	//	0x12 queue:    processor-sharing completion
 	//	0x21 network:  ring transmission
+	//	0x22 system:   fragment-copy shipment over the ring (replication.go)
+	//	0x23 system:   operator intermediate result over the ring (parallel.go)
 	//	0x31 loadinfo: load broadcast tick
 	//	0x32 loadinfo: delayed status-message application
 	//	0x41 system:   terminal think completion
@@ -74,8 +78,14 @@ type Event struct {
 	//	0x47 system:   hedge launch timer
 	//	0x51 fault:    site crash
 	//	0x52 fault:    site repair
+	//	0x53 fault:    fail-slow episode onset (slow.go)
+	//	0x54 fault:    fail-slow episode recovery (slow.go)
+	//	0x55 fault:    ring brownout onset (slow.go)
+	//	0x56 fault:    ring brownout recovery (slow.go)
 	//	0x61 arrival:  open arrival
 	//	0x62 arrival:  MMPP phase switch
+	//	0x71 system:   replication add/drop scan tick (replication.go)
+	//	0x72 system:   replica rebuild start timer (replication.go)
 	Kind byte
 
 	// gen is bumped every time the record is retired to the free list;

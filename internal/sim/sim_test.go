@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -218,6 +219,93 @@ func TestRandomCancelQuick(t *testing.T) {
 	}
 }
 
+// TestCalendarInsertBehindCursor covers the inserts the calendar clamps
+// into the cursor's slot: RunUntil peeks, which moves the cursor past
+// empty buckets (or re-anchors the window at the overflow minimum) ahead
+// of the clock, and the next insert can then belong to a bucket the
+// cursor has already passed. Fire order must still match the heap's.
+func TestCalendarInsertBehindCursor(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		pending []float64 // scheduled at time 0
+		until   float64   // RunUntil horizon, before the next pending event
+		insert  float64   // scheduled after RunUntil, behind the cursor
+	}{
+		{"advanced", []float64{1, 5}, 2, 3},
+		{"re-anchored", []float64{100}, 2, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fired [2][]float64
+			for i, impl := range []Impl{Calendar, Heap} {
+				s := NewImpl(impl)
+				s.Observe(func(e *Event) { fired[i] = append(fired[i], e.time) })
+				nop := func() {}
+				for _, tm := range tc.pending {
+					s.At(tm, nop)
+				}
+				s.RunUntil(tc.until)
+				s.At(tc.insert, nop)
+				auditScheduler(t, s)
+				s.Run()
+			}
+			if !reflect.DeepEqual(fired[0], fired[1]) || !sort.Float64sAreSorted(fired[0]) {
+				t.Errorf("calendar fired %v, heap %v", fired[0], fired[1])
+			}
+		})
+	}
+}
+
+// mixedLoad keeps the lan64 workload's event mix pending on s: 1280 far
+// events standing in for thinking terminals (Exp mean 350, Table 7's
+// think time) and 200 near events standing in for in-service steps (Exp
+// mean 1, about one disk page), each rescheduling itself when it fires.
+func mixedLoad(s *Scheduler) {
+	st := rng.NewStream(1)
+	var far, near Action
+	far = func() { s.After(st.Exp(350), far) }
+	near = func() { s.After(st.Exp(1), near) }
+	for i := 0; i < 1280; i++ {
+		s.After(st.Exp(350), far)
+	}
+	for i := 0; i < 200; i++ {
+		s.After(st.Exp(1), near)
+	}
+}
+
+// TestCalendarCursorBucketShortUnderMixedTimescales pins the calendar's
+// bucket geometry on the simulator's own event mix, without timing
+// anything. A width sized from the spread of the pending set follows the
+// far events and piles nearly every near event into the cursor's bucket,
+// where each insert walks a long sorted list; a width sized from the
+// head fire rate keeps the cursor's bucket to a few events.
+func TestCalendarCursorBucketShortUnderMixedTimescales(t *testing.T) {
+	const (
+		warm  = 10000
+		steps = 50000
+		every = 100
+	)
+	s := New()
+	mixedLoad(s)
+	for i := 0; i < warm; i++ {
+		s.Step()
+	}
+	c := s.cal
+	total := 0
+	for i := 0; i < steps; i++ {
+		s.Step()
+		if i%every == 0 {
+			c.peek()
+			for e := c.slots[c.cur&c.mask].head; e != nil; e = e.next {
+				total++
+			}
+		}
+	}
+	if mean := float64(total) / (steps / every); mean > 8 {
+		t.Errorf("cursor bucket holds %.1f events on average, want <= 8 (width %g, %d slots)",
+			mean, c.width, c.nb)
+	}
+}
+
 func BenchmarkSchedulerChurn(b *testing.B) {
 	for _, impl := range []Impl{Calendar, Heap} {
 		b.Run(impl.String(), func(b *testing.B) {
@@ -264,6 +352,26 @@ func BenchmarkKernelChurnExp(b *testing.B) {
 				s.After(st.Exp(1), tick)
 			}
 			s.Run()
+		})
+	}
+}
+
+// BenchmarkKernelChurnMixed times one fired event of the lan64-shaped
+// mix (see mixedLoad) per op, per implementation, after the calendar
+// has settled: 1480 pending events whose inserts land mostly near the
+// head while most of the population waits far out.
+func BenchmarkKernelChurnMixed(b *testing.B) {
+	for _, impl := range []Impl{Calendar, Heap} {
+		b.Run(impl.String(), func(b *testing.B) {
+			s := NewImpl(impl)
+			mixedLoad(s)
+			for i := 0; i < 20000; i++ {
+				s.Step()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
 		})
 	}
 }

@@ -1,11 +1,15 @@
 package system
 
 import (
+	"math"
 	"testing"
 
+	"dqalloc/internal/arrival"
 	"dqalloc/internal/fault"
+	"dqalloc/internal/loadinfo"
 	"dqalloc/internal/noise"
 	"dqalloc/internal/policy"
+	"dqalloc/internal/replica"
 	"dqalloc/internal/sim"
 )
 
@@ -116,6 +120,164 @@ func TestDigestEquivalenceSchedulerImpls(t *testing.T) {
 				r := runDigest(t, cfg)
 				if r.TraceDigest != g.want {
 					t.Errorf("%v digest %#x, want golden %#x — the scheduler changed the event stream",
+						impl, r.TraceDigest, g.want)
+				}
+			})
+		}
+	}
+}
+
+// dqsimConfig mirrors cmd/dqsim's flag defaults (Table 7 with
+// LERT, seed 1), so the lifecycle configurations below restate CI and
+// golden command lines field for field.
+func dqsimConfig(sites, mpl int, warmup, measure float64) Config {
+	cfg := Default()
+	cfg.NumSites = sites
+	cfg.MPL = mpl
+	cfg.Warmup = warmup
+	cfg.Measure = measure
+	cfg.Audit = true
+	cfg.TraceDigest = true
+	return cfg
+}
+
+// dqsimFault mirrors dqsim's fault block: crashes off unless mttf > 0.
+func dqsimFault(mttf, mttr, drop float64) fault.Config {
+	fc := fault.Default()
+	fc.MTTF = math.Inf(1)
+	if mttf > 0 {
+		fc.MTTF = mttf
+	}
+	if mttr > 0 {
+		fc.MTTR = mttr
+	}
+	fc.DropProb = drop
+	return fc
+}
+
+// dqsimHedge mirrors -hedge-quantile.
+func dqsimHedge(q float64) HedgeConfig {
+	h := DefaultHedge()
+	h.Quantile = q
+	return h
+}
+
+// lifecycleDigests pins the audited runs that drive the query-attempt
+// lifecycle hardest — deadlines, hedge races, operator carriers, fault
+// retries, replica rebuilds and gray failures — so a refactor of the
+// lifecycle bookkeeping must reproduce each event stream bit for bit.
+func lifecycleDigests(t *testing.T) []struct {
+	name string
+	cfg  Config
+	want uint64
+} {
+	t.Helper()
+	// (a) CI overload-chaos: -sites 3 -mpl 5 -warmup 200 -measure 3000
+	// -arrival mmpp -rate 0.15 -burst 4 -deadline 250 -hedge-quantile 0.9
+	// -mttf 1500 -mttr 300 -drop 0.03.
+	overload := dqsimConfig(3, 5, 200, 3000)
+	overload.Arrival = arrival.DefaultMMPP(0.15)
+	overload.Arrival.BurstFactor = 4
+	overload.Deadline = DeadlineConfig{Enabled: true, Deadline: 250}
+	overload.Hedge = dqsimHedge(0.9)
+	overload.Fault = dqsimFault(1500, 300, 0.03)
+
+	// (b) CI parallel-query chaos: -sites 4 -mpl 5 -warmup 200 -measure
+	// 3000 -par-mode dop -par-join 0.8 -par-overhead 0.5 -deadline 300
+	// -hedge-quantile 0.9 -par-hedge -objects 12 -copies 2 -mttf 1500
+	// -mttr 300 -drop 0.03.
+	par := dqsimConfig(4, 5, 200, 3000)
+	par.Parallel = DefaultParallel()
+	par.Parallel.Mode = policy.ParallelDOP
+	par.Parallel.JoinProb = 0.8
+	par.Parallel.SplitOverhead = 0.5
+	par.Parallel.Hedge = true
+	par.Deadline = DeadlineConfig{Enabled: true, Deadline: 300}
+	par.Hedge = dqsimHedge(0.9)
+	par.Fault = dqsimFault(1500, 300, 0.03)
+	var err error
+	if par.Placement, err = replica.NewRoundRobin(4, 12, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	// (c) CI replication-smoke rebuild: -mpl 5 -warmup 200 -measure 3000
+	// -objects 30 -copies 2 -rebuild -frag-size 2 -rebuild-delay 10
+	// -mttf 1500 -mttr 600.
+	repl := dqsimConfig(6, 5, 200, 3000)
+	repl.Fault = dqsimFault(1500, 600, 0)
+	if repl.Placement, err = replica.NewRoundRobin(6, 30, 2); err != nil {
+		t.Fatal(err)
+	}
+	repl.Replication = replica.DefaultManager()
+	repl.Replication.MinCopies, repl.Replication.MaxCopies = 2, 2
+	repl.Replication.FragmentSize = 2
+	repl.Replication.RebuildDelay = 10
+	repl.Replication.HotRate, repl.Replication.ColdRate = 0.05, 0.005
+
+	// (d) cmd/dqsim gray golden: -sites 3 -mpl 5 -seed 3 -think 600
+	// -warmup 300 -measure 8000 -slow-mttf 1500 -slow-mttr 500
+	// -slow-factor 10 -brownout-mttf 2000 -brownout-mttr 300 -suspect
+	// -hedge-quantile 0.9.
+	gray := dqsimConfig(3, 5, 300, 8000)
+	gray.Seed = 3
+	gray.ThinkTime = 600
+	gray.Fault = dqsimFault(0, 0, 0)
+	gray.Fault.SlowMTTF, gray.Fault.SlowMTTR, gray.Fault.SlowFactor = 1500, 500, 10
+	gray.Fault.BrownoutMTTF, gray.Fault.BrownoutMTTR, gray.Fault.BrownoutFactor = 2000, 300, 4
+	gray.Suspect = loadinfo.DefaultSuspect()
+	gray.Hedge = dqsimHedge(0.9)
+
+	// (e) the benchmark's chaos workload at seed 1: every opt-in
+	// subsystem at once on the Table-7 system.
+	chaos := Default()
+	chaos.Audit = true
+	chaos.TraceDigest = true
+	chaos.Arrival = arrival.DefaultMMPP(0.15)
+	chaos.Deadline = DeadlineConfig{Enabled: true, Deadline: 800}
+	chaos.Hedge = DefaultHedge()
+	chaos.Parallel = DefaultParallel()
+	chaos.Parallel.Mode = policy.ParallelDOP
+	chaos.Parallel.JoinProb = 0.6
+	if chaos.Placement, err = replica.NewRoundRobin(chaos.NumSites, 60, 2); err != nil {
+		t.Fatal(err)
+	}
+	chaos.Replication = replica.DefaultManager()
+	chaos.Replication.FragmentSize = 2
+	chaos.Replication.RebuildDelay = 10
+	chaos.Fault = fault.DefaultSlow()
+	chaos.Fault.MTTF = 8000
+	chaos.Fault.MTTR = 300
+	chaos.Fault.SlowMTTF = 20000
+	chaos.Suspect = loadinfo.DefaultSuspect()
+	chaos.Warmup, chaos.Measure = 500, 50000
+
+	return []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"overload-chaos", overload, 0x631eda165791192a},
+		{"parallel-chaos", par, 0x6cf116d2ed09921c},
+		{"replication-rebuild", repl, 0x773f548843636c73},
+		{"gray-golden", gray, 0x31af046875984a0c},
+		{"bench-chaos", chaos, 0xf87982fd75b07981},
+	}
+}
+
+// TestLifecycleDigests pins every lifecycle configuration under both
+// scheduler implementations. The digests were captured before the
+// query-attempt record replaced the per-query side tables; any change
+// to the lifecycle bookkeeping that reorders, adds or drops an event
+// trips them.
+func TestLifecycleDigests(t *testing.T) {
+	for _, g := range lifecycleDigests(t) {
+		for _, impl := range []sim.Impl{sim.Calendar, sim.Heap} {
+			t.Run(g.name+"/"+impl.String(), func(t *testing.T) {
+				cfg := g.cfg
+				cfg.Scheduler = impl
+				r := runDigest(t, cfg)
+				if r.TraceDigest != g.want {
+					t.Errorf("%v digest %#x, want golden %#x — the lifecycle event stream changed",
 						impl, r.TraceDigest, g.want)
 				}
 			})

@@ -110,7 +110,7 @@ func (s *System) admissionBounce(q *workload.Query) {
 	ar := s.adm
 	if ar.cfg.Defer && q.Defers < ar.cfg.MaxDefers {
 		q.Defers++
-		q.Phase = phaseDeferred
+		setPhase(q, phaseDeferred)
 		ar.deferred++
 		ar.waiting++
 		ev := s.sched.After(ar.stream.Exp(ar.cfg.DeferDelay), func() { s.resubmit(q) })
@@ -125,7 +125,7 @@ func (s *System) admissionBounce(q *workload.Query) {
 // policy runs again over the (possibly changed) load view, and admission
 // applies again at whichever site it now picks.
 func (s *System) resubmit(q *workload.Query) {
-	if s.dropDefunct(q) {
+	if withdrawn(q) {
 		return // withdrawn by a deadline abort while parked
 	}
 	s.adm.waiting--

@@ -5,10 +5,8 @@ import (
 
 	"dqalloc/internal/check"
 	"dqalloc/internal/fault"
-	"dqalloc/internal/network"
 	"dqalloc/internal/policy"
 	"dqalloc/internal/rng"
-	"dqalloc/internal/sim"
 	"dqalloc/internal/workload"
 )
 
@@ -44,26 +42,11 @@ type faultRuntime struct {
 	netStream *rng.Stream
 	bcStream  *rng.Stream
 
-	// pending tracks every dispatched, uncompleted query's watchdog.
-	pending map[*workload.Query]*faultPending
-
 	lost            uint64
 	retried         uint64
 	abandoned       uint64
 	preempted       uint64 // losses resolved by a hedge win or deadline abort
 	pendingRecovery int
-}
-
-// faultPending is one query's recovery state.
-type faultPending struct {
-	// timer is the armed watchdog (or, for a lost query, its pending
-	// retry event).
-	timer sim.Handle
-	// attempt counts re-allocation attempts consumed so far.
-	attempt int
-	// lost marks that the query's execution was wiped out and it awaits
-	// its watchdog.
-	lost bool
 }
 
 // totals implements the closure read by check.NewFaultConservation.
@@ -80,10 +63,7 @@ func (fr *faultRuntime) totals() check.FaultTotals {
 // setupFaults builds the fault runtime during New. root is the run's
 // root stream; children 4–6 are reserved for the fault layer.
 func (s *System) setupFaults(root *rng.Stream) error {
-	fr := &faultRuntime{
-		cfg:     s.cfg.Fault,
-		pending: make(map[*workload.Query]*faultPending),
-	}
+	fr := &faultRuntime{cfg: s.cfg.Fault}
 	inj, err := fault.NewInjector(s.sched, s.cfg.NumSites, s.cfg.Fault, root.Child(4), s.onSiteCrash, s.onSiteRepair)
 	if err != nil {
 		return err
@@ -129,22 +109,13 @@ func (s *System) up(site int) bool {
 // re-allocate it.
 func (s *System) onSiteCrash(site int) {
 	for _, q := range s.sites[site].Crash() {
-		if s.par != nil {
-			if inst := s.par.instances[q]; inst != nil {
-				// An operator carrier died with the site; the plan engine
-				// settles it (and possibly the whole plan).
-				s.parAttemptLost(inst, q)
-				continue
-			}
-			if q.Phase == phaseDone {
-				// A sibling carrier's loss above already collapsed its plan
-				// and withdrew this (also-drained) carrier; nothing remains
-				// to release.
-				continue
-			}
+		if rec(q).phase == phaseDone {
+			// A sibling carrier's loss already collapsed its plan and
+			// withdrew this (also-drained) carrier; nothing remains to
+			// release.
+			continue
 		}
-		s.releaseAllocation(q)
-		s.faultLost(q)
+		s.lose(q)
 	}
 	if s.repl != nil {
 		// The crash wipes the site's fragment copies (except last copies,
@@ -166,48 +137,58 @@ func (s *System) onSiteRepair(int) {
 	}
 }
 
-// releaseAllocation removes q's commitment from the load table (the
-// inverse of the Assign/AssignWork pair in dispatch).
-func (s *System) releaseAllocation(q *workload.Query) {
-	s.table.Complete(q.Exec, s.bound(q))
-	s.table.CompleteWork(q.Exec, q.EstCPUDemand(), q.EstDiskDemand(s.cfg.DiskTime))
-	s.replRelease(q, q.Exec)
-}
-
 // faultArm starts a newly dispatched query's watchdog.
 func (s *System) faultArm(q *workload.Query) {
 	if s.faults == nil {
 		return
 	}
-	e := &faultPending{}
-	s.faults.pending[q] = e
-	s.armWatchdog(q, e)
+	rec(q).watched = true
+	s.armWatchdog(q)
 }
 
 // armWatchdog (re)schedules the detection timer.
-func (s *System) armWatchdog(q *workload.Query, e *faultPending) {
-	e.timer = s.sched.After(s.faults.cfg.DetectTimeout, func() { s.faultTimeout(q) })
-	e.timer.SetKind(eventKindTimeout)
+func (s *System) armWatchdog(q *workload.Query) {
+	a := rec(q)
+	a.watchdog = s.sched.After(s.faults.cfg.DetectTimeout, func() { s.faultTimeout(q) })
+	a.watchdog.SetKind(eventKindTimeout)
+}
+
+// faultRetire takes an attempt's watchdog off when it completes or is
+// withdrawn; a pending recovery it ends counts as preempted.
+func (s *System) faultRetire(a *attempt) {
+	if !a.watched {
+		return
+	}
+	if a.lost {
+		s.faults.pendingRecovery--
+		s.faults.preempted++
+	}
+	s.sched.Cancel(a.watchdog)
+	a.watched = false
 }
 
 // faultLost records that q's execution was wiped out (site crash or
 // message drop). The query stays in the in-flight population; its
-// armed watchdog will notice the loss and retry or reject it.
+// armed watchdog will notice the loss and retry or reject it. A racing
+// clone carries no watchdog, so its loss settles at once; if the primary
+// had already exhausted its retry budget, the logical query dies with
+// the clone and is rejected.
 func (s *System) faultLost(q *workload.Query) {
-	if s.hedge != nil {
-		if race := s.hedge.byClone[q]; race != nil {
-			// A racing clone died; clones carry no watchdog, so the loss
-			// settles immediately instead of entering the retry ledger.
-			s.cloneDied(q, race)
-			return
+	a := rec(q)
+	if r := a.race; r != nil && r.clone == q {
+		a.phase = phaseDone
+		dead := s.cloneLost(r)
+		s.audRetire(s.sched.Now())
+		if dead {
+			s.rejectQuery(r.primary)
 		}
+		return
 	}
-	e := s.faults.pending[q]
-	if e == nil || e.lost {
+	if !a.watched || a.lost {
 		return // already accounted; nothing further can be lost
 	}
-	e.lost = true
-	q.Phase = phaseLost
+	a.lost = true
+	a.phase = phaseLost
 	s.faults.lost++
 	s.faults.pendingRecovery++
 	if s.aud != nil {
@@ -220,45 +201,36 @@ func (s *System) faultLost(q *workload.Query) {
 // original dispatch is never duplicated while it may still be alive); a
 // lost query consumes a retry attempt.
 func (s *System) faultTimeout(q *workload.Query) {
-	e := s.faults.pending[q]
-	if e == nil {
+	if !rec(q).lost {
+		s.armWatchdog(q)
 		return
 	}
-	if !e.lost {
-		s.armWatchdog(q, e)
-		return
-	}
-	s.faultRetryOrAbandon(q, e)
+	s.faultRetryOrAbandon(q)
 }
 
 // faultRetryOrAbandon consumes one retry attempt for a lost query:
 // either its backoff timer is scheduled or its budget is exhausted and
-// the query is rejected.
-func (s *System) faultRetryOrAbandon(q *workload.Query, e *faultPending) {
-	e.attempt++
-	if e.attempt > s.faults.cfg.MaxRetries {
-		if s.hedge != nil {
-			if race := s.hedge.races[q]; race != nil && race.clone != nil {
-				// The retry budget ran out but a hedge clone is still
-				// racing: let the clone carry the query instead of
-				// rejecting it. The loss counts as preempted.
-				race.primaryDead = true
-				q.Phase = phaseDone
-				s.faults.pendingRecovery--
-				s.faults.preempted++
-				delete(s.faults.pending, q)
-				return
-			}
-		}
+// the query is rejected — unless a hedge clone is still racing, which
+// then carries the query alone and the loss counts as preempted.
+func (s *System) faultRetryOrAbandon(q *workload.Query) {
+	a := rec(q)
+	a.retries++
+	if a.retries > s.faults.cfg.MaxRetries {
+		a.watched = false
 		s.faults.pendingRecovery--
+		if r := a.race; r != nil && r.clone != nil {
+			r.primaryDead = true
+			a.phase = phaseDone
+			s.faults.preempted++
+			return
+		}
 		s.faults.abandoned++
-		delete(s.faults.pending, q)
 		s.rejectQuery(q)
 		return
 	}
-	backoff := s.faults.cfg.RetryBackoff * math.Pow(2, float64(e.attempt-1))
-	e.timer = s.sched.After(backoff, func() { s.faultRedispatch(q) })
-	e.timer.SetKind(eventKindRetry)
+	backoff := s.faults.cfg.RetryBackoff * math.Pow(2, float64(a.retries-1))
+	a.watchdog = s.sched.After(backoff, func() { s.faultRedispatch(q) })
+	a.watchdog.SetKind(eventKindRetry)
 }
 
 // faultRedispatch re-allocates a lost query after its backoff: the
@@ -266,36 +238,23 @@ func (s *System) faultRetryOrAbandon(q *workload.Query, e *faultPending) {
 // restarts from its first read (lost work is genuinely lost). When no
 // site can take it, another attempt is consumed.
 func (s *System) faultRedispatch(q *workload.Query) {
-	e := s.faults.pending[q]
-	if e == nil || !e.lost {
-		return
-	}
+	a := rec(q)
 	exec := s.selectSite(q)
 	if exec == policy.NoSite {
-		s.faultRetryOrAbandon(q, e)
+		s.faultRetryOrAbandon(q)
 		return
 	}
 	s.faults.pendingRecovery--
 	s.faults.retried++
-	e.lost = false
+	a.lost = false
 	q.ReadsDone = 0
 	if s.aud != nil {
 		s.aud.Retried(s.sched.Now())
 	}
-	s.dispatch(q, exec)
+	s.commit(q, exec)
+	s.start(q)
 	s.hedgeArm(q)
-	s.armWatchdog(q, e)
-}
-
-// faultComplete retires a completed query's watchdog.
-func (s *System) faultComplete(q *workload.Query) {
-	if s.faults == nil {
-		return
-	}
-	if e := s.faults.pending[q]; e != nil {
-		s.sched.Cancel(e.timer)
-		delete(s.faults.pending, q)
-	}
+	s.armWatchdog(q)
 }
 
 // rejectQuery gives up on a query: it never completes, the rejection is
@@ -303,16 +262,19 @@ func (s *System) faultComplete(q *workload.Query) {
 // and — in closed mode, the terminal surviving regardless — its terminal
 // returns to the think state, preserving the closed population.
 func (s *System) rejectQuery(q *workload.Query) {
-	s.deadlineCancel(q)
-	if s.hedge != nil {
-		// Every rejection path reaches here with no live clone (a racing
-		// clone preempts abandonment), so only an idle race can remain.
-		if race := s.hedge.races[q]; race != nil {
-			s.sched.Cancel(race.timer)
-			delete(s.hedge.races, q)
+	if a := rec(q); a != nil {
+		if s.deadlineRetire(a) {
+			s.dl.cancelled++
 		}
+		if a.race != nil {
+			// Every rejection path reaches here with no live clone (a
+			// racing clone preempts abandonment), so only an idle race
+			// timer can remain.
+			s.settleRace(a.race, q)
+			a.race = nil
+		}
+		a.phase = phaseDone
 	}
-	q.Phase = phaseDone
 	s.rejected++
 	if s.aud != nil {
 		s.aud.Rejected(s.sched.Now())
@@ -320,36 +282,4 @@ func (s *System) rejectQuery(q *workload.Query) {
 	if s.arr == nil {
 		s.startThink(q.Home)
 	}
-}
-
-// shipMessage builds the ring message dispatching q to site exec, with
-// the fault layer's delivery-time liveness check and drop recovery.
-func (s *System) shipMessage(q *workload.Query, from, to int, size float64) network.Message {
-	m := network.Message{
-		From: from,
-		To:   to,
-		Size: size,
-		OnDeliver: func() {
-			if s.dropDefunct(q) {
-				return // cancelled in transit; commitment already released
-			}
-			if !s.up(to) {
-				// The destination died while the query was in flight.
-				s.releaseAllocation(q)
-				s.faultLost(q)
-				return
-			}
-			s.landQuery(q, to)
-		},
-	}
-	if s.faults != nil {
-		m.OnDrop = func() {
-			if s.dropDefunct(q) {
-				return
-			}
-			s.releaseAllocation(q)
-			s.faultLost(q)
-		}
-	}
-	return m
 }

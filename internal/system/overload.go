@@ -6,9 +6,7 @@ import (
 
 	"dqalloc/internal/arrival"
 	"dqalloc/internal/check"
-	"dqalloc/internal/policy"
 	"dqalloc/internal/rng"
-	"dqalloc/internal/sim"
 	"dqalloc/internal/workload"
 )
 
@@ -27,24 +25,6 @@ const (
 	eventKindDeadline byte = 0x46
 	// eventKindHedge tags hedge launch timers.
 	eventKindHedge byte = 0x47
-)
-
-// Query lifecycle phases, stored in workload.Query.Phase so a deadline
-// abort or hedge cancellation knows where the attempt currently is. The
-// zero value phaseNone means "not yet dispatched".
-const (
-	phaseNone int8 = iota
-	// phaseDeferred: parked by admission control, awaiting resubmission.
-	phaseDeferred
-	// phaseCommitted: dispatched and counted in the load table — in
-	// transit toward, queued at, or in service at its execution site.
-	phaseCommitted
-	// phaseResult: execution finished, result page set in transit home.
-	phaseResult
-	// phaseLost: execution wiped out by a fault, awaiting its watchdog.
-	phaseLost
-	// phaseDone: completed, rejected, or cancelled; nothing in flight.
-	phaseDone
 )
 
 // Response-time histogram shape: log-spaced buckets covering [histLo,
@@ -134,9 +114,8 @@ type arrivalRuntime struct {
 // deadlineRuntime is the per-run state of the deadline subsystem.
 type deadlineRuntime struct {
 	cfg DeadlineConfig
-	// timers maps every query with an armed deadline to its watchdog.
-	timers map[*workload.Query]sim.Handle
 
+	pending   int // watchdogs currently armed
 	armed     uint64
 	met       uint64
 	missed    uint64
@@ -146,31 +125,11 @@ type deadlineRuntime struct {
 // hedgeRuntime is the per-run state of the hedging subsystem.
 type hedgeRuntime struct {
 	cfg HedgeConfig
-	// races maps a hedged primary to its race; byClone indexes the same
-	// races by the clone once one is launched.
-	races   map[*workload.Query]*hedgeRace
-	byClone map[*workload.Query]*hedgeRace
 
 	launched     uint64
 	wins         uint64
 	cancelled    uint64
 	activeClones int
-}
-
-// hedgeRace is one primary/clone race.
-type hedgeRace struct {
-	primary *workload.Query
-	// clone is the racing re-issue, nil before the timer fires and after
-	// the clone dies.
-	clone *workload.Query
-	// timer is the pending hedge launch.
-	timer sim.Handle
-	// fired marks that the launch decision was taken (at most one clone
-	// per primary, even across fault retries).
-	fired bool
-	// primaryDead marks that the primary exhausted its retry budget while
-	// the clone was still racing: the clone alone carries the query.
-	primaryDead bool
 }
 
 // setupArrivals builds the open-arrival runtime during New. astream must
@@ -186,7 +145,7 @@ func (s *System) setupArrivals(astream *rng.Stream) error {
 		class := c
 		src, err := arrival.NewSource(s.sched, s.cfg.Arrival, rate, s.cfg.NumSites,
 			astream.Child(uint64(c+1)),
-			func(home int) { s.submitOpen(class, home) })
+			func(home int) { s.admit(s.gen.NewOfClass(class, home, s.sched.Now())) })
 		if err != nil {
 			return err
 		}
@@ -194,27 +153,6 @@ func (s *System) setupArrivals(astream *rng.Stream) error {
 	}
 	s.arr = ar
 	return nil
-}
-
-// submitOpen is the open-arrival counterpart of submit: the source
-// already chose the class and home terminal, so only the read count is
-// sampled here.
-func (s *System) submitOpen(class, home int) {
-	q := s.gen.NewOfClass(class, home, s.sched.Now())
-	if s.noise != nil {
-		s.noise.Perturb(q)
-	}
-	if s.cfg.Placement != nil {
-		q.Object = s.objStream.Intn(s.cfg.Placement.NumObjects())
-	}
-	if s.aud != nil {
-		s.aud.Submitted(s.sched.Now())
-	}
-	if s.par != nil {
-		s.parSubmit(q)
-		return
-	}
-	s.allocate(q)
 }
 
 // openArrivals sums the lifetime arrival counts across sources (zero in
@@ -237,7 +175,7 @@ func (s *System) overloadTotals() check.DeadlineTotals {
 	var t check.DeadlineTotals
 	if s.dl != nil {
 		t.Armed, t.Met, t.Missed, t.Cancelled = s.dl.armed, s.dl.met, s.dl.missed, s.dl.cancelled
-		t.Pending = len(s.dl.timers)
+		t.Pending = s.dl.pending
 	}
 	if s.hedge != nil {
 		t.HedgesLaunched, t.HedgeWins, t.HedgeCancelled = s.hedge.launched, s.hedge.wins, s.hedge.cancelled
@@ -258,96 +196,35 @@ func (s *System) audRetire(now float64) {
 	}
 }
 
-// markDefunct flags a query that was cancelled while in transit on the
-// ring (or while parked by admission): its pending delivery event cannot
-// be cancelled, so the delivery consumes the flag and drops the query.
-func (s *System) markDefunct(q *workload.Query) {
-	s.defunct[q] = struct{}{}
-}
-
-// dropDefunct consumes a defunct flag, reporting whether the query was
-// cancelled while this delivery was pending. Free when the overload
-// subsystems are off (the map is nil and the length check short-circuits).
-func (s *System) dropDefunct(q *workload.Query) bool {
-	if len(s.defunct) == 0 {
-		return false
-	}
-	if _, ok := s.defunct[q]; ok {
-		delete(s.defunct, q)
-		return true
-	}
-	return false
-}
-
-// execDeliver lands a shipped (or migrated) query at its execution site,
-// unless it was cancelled in transit.
-func (s *System) execDeliver(q *workload.Query, exec int) {
-	if s.dropDefunct(q) {
-		return
-	}
-	s.landQuery(q, exec)
-}
-
-// resultDeliver lands a result page set at the home terminal, unless the
-// query was aborted while the result was in transit.
-func (s *System) resultDeliver(q *workload.Query) {
-	if s.dropDefunct(q) {
-		return
-	}
-	s.complete(q)
-}
-
-// resultDropped is the fault path of a result return: the loss only
-// matters if the query is still live.
-func (s *System) resultDropped(q *workload.Query) {
-	if s.dropDefunct(q) {
-		return
-	}
-	s.faultLost(q)
-}
-
 // deadlineArm starts a query's deadline watchdog at its first allocation
 // attempt; deferrals and retries keep the original watchdog.
 func (s *System) deadlineArm(q *workload.Query) {
 	if s.dl == nil {
 		return
 	}
-	if _, ok := s.dl.timers[q]; ok {
+	a := rec(q)
+	if a.deadline.Scheduled() {
 		return
 	}
 	remaining := q.SubmitTime + s.dl.cfg.Deadline - s.sched.Now()
 	if remaining < 0 {
 		remaining = 0
 	}
-	ev := s.sched.After(remaining, func() { s.deadlineExpire(q) })
-	ev.SetKind(eventKindDeadline)
-	s.dl.timers[q] = ev
+	a.deadline = s.sched.After(remaining, func() { s.deadlineExpire(q) })
+	a.deadline.SetKind(eventKindDeadline)
 	s.dl.armed++
+	s.dl.pending++
 }
 
-// deadlineMet retires the watchdog of a query that completed in time.
-func (s *System) deadlineMet(q *workload.Query) {
-	if s.dl == nil {
-		return
+// deadlineRetire takes an armed deadline watchdog off — at completion
+// (met) or on a rejection path (cancelled) — reporting whether one was
+// armed.
+func (s *System) deadlineRetire(a *attempt) bool {
+	if s.dl == nil || !s.sched.Cancel(a.deadline) {
+		return false
 	}
-	if ev, ok := s.dl.timers[q]; ok {
-		s.sched.Cancel(ev)
-		delete(s.dl.timers, q)
-		s.dl.met++
-	}
-}
-
-// deadlineCancel retires the watchdog of a query leaving the population
-// through a rejection path (admission shed, retry budget exhausted).
-func (s *System) deadlineCancel(q *workload.Query) {
-	if s.dl == nil {
-		return
-	}
-	if ev, ok := s.dl.timers[q]; ok {
-		s.sched.Cancel(ev)
-		delete(s.dl.timers, q)
-		s.dl.cancelled++
-	}
+	s.dl.pending--
+	return true
 }
 
 // deadlineExpire aborts a query whose deadline passed: the attempt is
@@ -356,84 +233,30 @@ func (s *System) deadlineCancel(q *workload.Query) {
 // counts as missed, aborted, and rejected. In closed mode the terminal
 // returns to thinking, preserving the population.
 func (s *System) deadlineExpire(q *workload.Query) {
-	if _, ok := s.dl.timers[q]; !ok {
-		return
-	}
-	delete(s.dl.timers, q)
+	s.dl.pending--
 	s.dl.missed++
-	now := s.sched.Now()
-	if s.hedge != nil {
-		if race := s.hedge.races[q]; race != nil {
-			s.sched.Cancel(race.timer)
-			if race.clone != nil {
-				s.cancelAttempt(race.clone)
-				delete(s.hedge.byClone, race.clone)
-				s.hedge.activeClones--
-				s.hedge.cancelled++
-				s.audRetire(now)
-			}
-			delete(s.hedge.races, q)
-		}
+	a := rec(q)
+	if r := a.race; r != nil {
+		a.race = nil
+		s.settleRace(r, q)
 	}
-	if s.par != nil {
+	if a.plan != nil {
 		// An operator-split query withdraws every per-site attempt (each
 		// releasing its commitment exactly once) and is then settled.
-		s.parDeadlineAbort(q)
+		s.parWithdraw(a.plan, true)
+		a.phase = phaseDone
 	}
-	if q.Phase != phaseDone {
-		s.cancelAttempt(q)
+	if a.phase != phaseDone {
+		s.withdraw(q)
 	}
 	s.aborted++
 	s.rejected++
 	if s.aud != nil {
-		s.aud.Rejected(now)
+		s.aud.Rejected(s.sched.Now())
 	}
 	if s.arr == nil {
 		s.startThink(q.Home)
 	}
-}
-
-// cancelAttempt withdraws one in-flight attempt (a deadline-aborted
-// query, a hedge loser, or a fault-orphaned primary) from wherever it
-// currently is, releasing its load-table commitment exactly once and
-// retiring its fault watchdog. The phase tells it what is outstanding:
-//
-//   - phaseCommitted: the attempt holds a table commitment and is either
-//     at its site (aborted in place) or in transit (marked defunct so the
-//     delivery drops it).
-//   - phaseResult: execution already released the commitment; only the
-//     homeward result message remains, marked defunct.
-//   - phaseDeferred: parked by admission; the resubmission timer's query
-//     is marked defunct and the admission ledger records the abort.
-//   - phaseLost: nothing is in flight; the loss ledger records that the
-//     pending recovery was preempted.
-func (s *System) cancelAttempt(q *workload.Query) {
-	switch q.Phase {
-	case phaseCommitted:
-		if !s.sites[q.Exec].Abort(q) {
-			s.markDefunct(q)
-		}
-		s.releaseAllocation(q)
-	case phaseResult:
-		s.markDefunct(q)
-	case phaseDeferred:
-		s.markDefunct(q)
-		s.adm.waiting--
-		s.adm.aborted++
-	case phaseLost:
-		// Nothing in flight; the watchdog retirement below settles it.
-	}
-	if s.faults != nil {
-		if e := s.faults.pending[q]; e != nil {
-			if e.lost {
-				s.faults.pendingRecovery--
-				s.faults.preempted++
-			}
-			s.sched.Cancel(e.timer)
-			delete(s.faults.pending, q)
-		}
-	}
-	q.Phase = phaseDone
 }
 
 // hedgeArm schedules the hedge decision for a newly dispatched remote
@@ -449,13 +272,10 @@ func (s *System) hedgeArm(q *workload.Query) {
 	if q.Exec == q.Home && !s.suspected(q.Exec) {
 		return
 	}
-	if _, ok := s.hedge.races[q]; ok {
-		return
+	if a := rec(q); a.race == nil {
+		a.race = &hedgeRace{primary: q}
+		s.armHedge(a.race)
 	}
-	race := &hedgeRace{primary: q}
-	race.timer = s.sched.After(s.hedgeDelay(q.Class), func() { s.hedgeFire(q) })
-	race.timer.SetKind(eventKindHedge)
-	s.hedge.races[q] = race
 }
 
 // hedgeDelay returns the class's current hedge trigger: its measured
@@ -470,119 +290,28 @@ func (s *System) hedgeDelay(class int) float64 {
 	return s.hedge.cfg.MinDelay
 }
 
-// hedgeFire launches the clone if the primary is still committed when
-// the trigger fires: the policy picks the best up site excluding the
-// primary's, and a fresh copy of the query races the original there.
-// The clone joins the auditor population as a submission; it carries no
-// deadline, no fault watchdog, and no nested hedge of its own.
-func (s *System) hedgeFire(q *workload.Query) {
-	race := s.hedge.races[q]
-	if race == nil || race.fired {
-		return
-	}
-	race.fired = true
-	if q.Phase != phaseCommitted {
-		return
-	}
-	exec := s.hedgeSite(q)
-	if exec == policy.NoSite {
-		return
-	}
-	clone := &workload.Query{
-		ID:         q.ID,
-		Class:      q.Class,
-		Home:       q.Home,
-		Object:     q.Object,
-		ReadsTotal: q.ReadsTotal,
-		EstReads:   q.EstReads,
-		EstPageCPU: q.EstPageCPU,
-		SubmitTime: q.SubmitTime,
-	}
-	race.clone = clone
-	s.hedge.byClone[clone] = race
-	s.hedge.launched++
-	s.hedge.activeClones++
-	if s.aud != nil {
-		s.aud.Submitted(s.sched.Now())
-	}
-	s.dispatch(clone, exec)
-}
-
-// hedgeSite runs the allocation policy over the candidate sites that are
-// up and distinct from the primary's execution site, returning NoSite
-// when none exists.
-func (s *System) hedgeSite(q *workload.Query) int {
-	s.hedgeScratch = s.hedgeScratch[:0]
-	for _, c := range s.candidateSites(q) {
-		if c != q.Exec && s.up(c) {
-			s.hedgeScratch = append(s.hedgeScratch, c)
-		}
-	}
-	if len(s.hedgeScratch) == 0 {
-		return policy.NoSite
-	}
-	saved := s.env.Candidates
-	s.env.Candidates = s.hedgeScratch
-	exec := s.pol.Select(q, q.Home, s.env)
-	s.env.Candidates = saved
-	return exec
-}
-
 // hedgeResolve settles a race at completion time: whichever of primary
 // and clone finished first wins, the loser's attempt is withdrawn, and
 // the primary — the logical query whose watchdog, deadline, and terminal
 // the rest of complete() must retire — is returned. Queries with no race
 // pass through untouched.
 func (s *System) hedgeResolve(q *workload.Query) *workload.Query {
-	now := s.sched.Now()
-	if race := s.hedge.byClone[q]; race != nil {
-		// The clone won the race.
-		s.sched.Cancel(race.timer)
-		delete(s.hedge.byClone, q)
-		s.hedge.activeClones--
-		s.hedge.wins++
-		primary := race.primary
-		if s.slow != nil && !race.primaryDead && s.slow.inj.Slowed(primary.Exec) {
-			// The loser was stuck at a site mid-fail-slow-episode: this
-			// hedge demonstrably beat a gray failure.
-			s.slow.hedgeWinsVsSlow++
-		}
-		delete(s.hedge.races, primary)
-		if !race.primaryDead {
-			s.cancelAttempt(primary)
-		}
+	r := rec(q).race
+	if r == nil {
+		return q
+	}
+	p := r.primary
+	rec(p).race = nil
+	cloneWon := q == r.clone
+	if cloneWon && s.slow != nil && !r.primaryDead && s.slow.inj.Slowed(p.Exec) {
+		// The loser was stuck at a site mid-fail-slow-episode: this hedge
+		// demonstrably beat a gray failure.
+		s.slow.hedgeWinsVsSlow++
+	}
+	s.settleRace(r, q)
+	if cloneWon {
 		// The primary leaves the population; the clone is the completion.
-		s.audRetire(now)
-		return primary
+		s.audRetire(s.sched.Now())
 	}
-	if race := s.hedge.races[q]; race != nil {
-		// The primary won (or finished unraced).
-		s.sched.Cancel(race.timer)
-		delete(s.hedge.races, q)
-		if race.clone != nil {
-			s.cancelAttempt(race.clone)
-			delete(s.hedge.byClone, race.clone)
-			s.hedge.activeClones--
-			s.hedge.cancelled++
-			s.audRetire(now)
-		}
-	}
-	return q
-}
-
-// cloneDied handles a fault destroying a racing clone (site crash or
-// message drop): clones carry no watchdog, so the loss retires the clone
-// outright. If the primary had already exhausted its retry budget, the
-// logical query dies with the clone and is rejected.
-func (s *System) cloneDied(clone *workload.Query, race *hedgeRace) {
-	clone.Phase = phaseDone
-	race.clone = nil
-	delete(s.hedge.byClone, clone)
-	s.hedge.activeClones--
-	s.hedge.cancelled++
-	s.audRetire(s.sched.Now())
-	if race.primaryDead {
-		delete(s.hedge.races, race.primary)
-		s.rejectQuery(race.primary)
-	}
+	return p
 }

@@ -8,7 +8,6 @@ import (
 	"dqalloc/internal/network"
 	"dqalloc/internal/policy"
 	"dqalloc/internal/rng"
-	"dqalloc/internal/sim"
 	"dqalloc/internal/workload"
 )
 
@@ -158,13 +157,10 @@ const (
 // its partitioned input scan) has one per chosen site.
 type opInstance struct {
 	pe *planExec
-	// node is the plan operator index; idx the instance index within it.
-	node, idx int
+	// node is the plan operator index.
+	node int
 	// site is the placement decision.
 	site int
-	// reads is the instance's page count (a split share for partitioned
-	// scans, the full operator reads otherwise).
-	reads int
 	// outBytes is the ring size of this instance's output shipment.
 	outBytes float64
 	// outTo are the consumer instances this instance's output feeds.
@@ -174,17 +170,9 @@ type opInstance struct {
 	waiting int
 	state   int8
 
-	// q is the primary carrier; clone the racing hedge re-issue, nil
-	// outside a race.
-	q, clone *workload.Query
-	// primaryDead marks a primary destroyed by a fault while its clone
-	// raced on; primaryLanded / cloneLanded mark attempts that reached
-	// their site (so withdrawal knows whether anything is in transit).
-	primaryDead, primaryLanded, cloneLanded bool
-
-	hedgeTimer sim.Handle
-	hedgeArmed bool
-	hedgeFired bool
+	// hedgeRace holds the primary carrier and, while the operator is
+	// hedged, its racing clone.
+	hedgeRace
 }
 
 // isScan reports whether the instance executes a scan operator.
@@ -198,9 +186,7 @@ type planExec struct {
 	plan workload.Plan
 	// insts[node] are the placed instances of each operator.
 	insts [][]*opInstance
-	// live counts unretired instances; rootRemaining counts root-instance
-	// results not yet delivered home.
-	live          int
+	// rootRemaining counts root-instance results not yet delivered home.
 	rootRemaining int
 	// partNode/splitNode identify the fragment-and-replicate pair
 	// (partitioned scan feeding its colocated join instance); -1 outside
@@ -215,12 +201,6 @@ type planExec struct {
 type parallelRuntime struct {
 	cfg ParallelConfig
 	gen *workload.PlanGen
-
-	// instances maps every dispatched carrier (primary or clone) to its
-	// instance; plans maps every live multi-operator logical query to
-	// its execution state.
-	instances map[*workload.Query]*opInstance
-	plans     map[*workload.Query]*planExec
 
 	scratch  []int  // reusable site pool for split placement
 	siteSeen []bool // reusable distinct-site marker for the DOP histogram
@@ -272,12 +252,7 @@ func (s *System) setupParallel(stream *rng.Stream) error {
 	if err != nil {
 		return err
 	}
-	s.par = &parallelRuntime{
-		cfg:       cfg,
-		gen:       gen,
-		instances: make(map[*workload.Query]*opInstance),
-		plans:     make(map[*workload.Query]*planExec),
-	}
+	s.par = &parallelRuntime{cfg: cfg, gen: gen}
 	return nil
 }
 
@@ -340,8 +315,9 @@ func (s *System) parStart(q *workload.Query, plan workload.Plan) {
 		s.rejectQuery(q)
 		return
 	}
-	q.Phase = phaseCommitted
-	s.par.plans[q] = pe
+	a := rec(q)
+	a.phase = phaseCommitted
+	a.plan = pe
 	s.par.parallelQueries++
 	s.parRecordDOP(pe)
 	for _, insts := range pe.insts {
@@ -410,9 +386,9 @@ func (s *System) parCarrier(pe *planExec, node int) *workload.Query {
 	return c
 }
 
-// parSelect runs the allocation policy for a carrier over the given
-// candidate set (nil = all sites), preserving the ambient Env.
-func (s *System) parSelect(c *workload.Query, cands []int) int {
+// selectAmong runs the allocation policy for q over the given candidate
+// set (nil = all sites), preserving the ambient Env.
+func (s *System) selectAmong(c *workload.Query, cands []int) int {
 	saved := s.env.Candidates
 	s.env.Candidates = cands
 	exec := s.pol.Select(c, c.Home, s.env)
@@ -438,7 +414,7 @@ func (s *System) parPlace(pe *planExec) bool {
 		if s.cfg.Placement != nil {
 			cands = s.candidateSites(pe.q)
 		}
-		anchor := s.parSelect(pe.q, cands)
+		anchor := s.selectAmong(pe.q, cands)
 		if anchor == policy.NoSite {
 			return false
 		}
@@ -507,24 +483,21 @@ func (s *System) parPlace(pe *planExec) bool {
 			}
 		}
 	}
-	for _, insts := range pe.insts {
-		pe.live += len(insts)
-	}
 	pe.rootRemaining = len(pe.insts[plan.Root])
 	return true
 }
 
 // parInstAt places one unsplit instance of node at a fixed site.
 func (s *System) parInstAt(pe *planExec, node, site int) {
-	c := s.parCarrier(pe, node)
-	pe.insts[node] = []*opInstance{{
-		pe:       pe,
-		node:     node,
-		site:     site,
-		reads:    c.ReadsTotal,
-		outBytes: pe.plan.Ops[node].OutBytes,
-		q:        c,
-	}}
+	pe.insts[node] = []*opInstance{newInst(pe, node, site, s.parCarrier(pe, node), pe.plan.Ops[node].OutBytes)}
+}
+
+// newInst builds one operator instance with carrier c as its primary.
+func newInst(pe *planExec, node, site int, c *workload.Query, outBytes float64) *opInstance {
+	inst := &opInstance{pe: pe, node: node, site: site, outBytes: outBytes}
+	inst.primary = c
+	c.Attempt = &attempt{race: &inst.hedgeRace, inst: inst, spawned: true}
+	return inst
 }
 
 // parPlaceOp places one operator via the allocation policy, costing it
@@ -539,18 +512,11 @@ func (s *System) parPlaceOp(pe *planExec, node int) bool {
 			return false
 		}
 	}
-	site := s.parSelect(c, cands)
+	site := s.selectAmong(c, cands)
 	if site == policy.NoSite {
 		return false
 	}
-	pe.insts[node] = []*opInstance{{
-		pe:       pe,
-		node:     node,
-		site:     site,
-		reads:    c.ReadsTotal,
-		outBytes: pe.plan.Ops[node].OutBytes,
-		q:        c,
-	}}
+	pe.insts[node] = []*opInstance{newInst(pe, node, site, c, pe.plan.Ops[node].OutBytes)}
 	return true
 }
 
@@ -626,7 +592,7 @@ func (s *System) parPlaceSplit(pe *planExec, joinNode int) bool {
 	// loaded holders first.
 	sites := make([]int, 0, k)
 	for len(sites) < k {
-		site := s.parSelect(partC, pool)
+		site := s.selectAmong(partC, pool)
 		if site == policy.NoSite {
 			break
 		}
@@ -657,21 +623,14 @@ func (s *System) parPlaceSplit(pe *planExec, joinNode int) bool {
 		sc.ReadsTotal = rep.Shares[i]
 		sc.EstReads = float64(rep.Shares[i])
 		shareOut := pages(cfg.SelScan * float64(rep.Shares[i]))
-		shares[i] = &opInstance{
-			pe: pe, node: partNode, idx: i, site: rep.Sites[i],
-			reads: rep.Shares[i], q: sc,
-			// Colocated with its join instance: no ring shipment.
-		}
+		// Colocated with its join instance: no ring shipment.
+		shares[i] = newInst(pe, partNode, rep.Sites[i], sc, 0)
 		jc := s.parCarrier(pe, joinNode)
 		jreads := shareOut + repOut
 		jc.ReadsTotal = jreads
 		jc.EstReads = float64(jreads)
 		jout := pages(cfg.SelJoin * float64(jreads))
-		joins[i] = &opInstance{
-			pe: pe, node: joinNode, idx: i, site: rep.Sites[i],
-			reads: jreads, q: jc,
-			outBytes: float64(jout) * cfg.ShipBytesPerPage,
-		}
+		joins[i] = newInst(pe, joinNode, rep.Sites[i], jc, float64(jout)*cfg.ShipBytesPerPage)
 	}
 	pe.insts[partNode] = shares
 	pe.insts[joinNode] = joins
@@ -679,164 +638,58 @@ func (s *System) parPlaceSplit(pe *planExec, joinNode int) bool {
 	return true
 }
 
-// parAssign commits a carrier to the load table (the operator-granular
-// mirror of dispatch's Assign/AssignWork pairing).
-func (s *System) parAssign(c *workload.Query) {
-	s.table.Assign(c.Exec, s.bound(c))
-	s.table.AssignWork(c.Exec, c.EstCPUDemand(), c.EstDiskDemand(s.cfg.DiskTime))
-	s.replAssign(c, c.Exec)
-	s.par.commits++
-	s.par.tableLive++
-}
-
-// parRelease releases a carrier's commitment exactly once.
-func (s *System) parRelease(c *workload.Query) {
-	s.table.Complete(c.Exec, s.bound(c))
-	s.table.CompleteWork(c.Exec, c.EstCPUDemand(), c.EstDiskDemand(s.cfg.DiskTime))
-	s.replRelease(c, c.Exec)
-	s.par.releases++
-	s.par.tableLive--
-	if s.par.dlWithdrawing {
-		s.par.dlOpReleases++
-	}
-}
-
 // parDispatch commits one ready instance's primary carrier to its site:
-// the carrier joins the load table and the audited population, scans
-// dispatched away from home ship a descriptor first, and everything
-// else starts in place (joins and filters receive their inputs via the
-// intermediate-result shipments, so no separate descriptor travels).
+// the carrier joins the load table and the audited population, its
+// hedge is armed, and it starts — a scan away from home ships its
+// descriptor first; joins and filters start in place.
 func (s *System) parDispatch(inst *opInstance) {
 	if inst.pe.aborted {
 		return
 	}
 	inst.state = instDispatched
-	c := inst.q
-	c.Exec = inst.site
-	c.Phase = phaseCommitted
-	s.parAssign(c)
-	if s.aud != nil {
-		s.aud.Submitted(s.sched.Now())
+	s.enter(inst.primary, inst.site)
+	if s.hedge != nil && s.par.cfg.Hedge && inst.site != inst.pe.q.Home {
+		// The straggler hedge at operator granularity reuses the
+		// query-level race and class-quantile delay.
+		s.armHedge(&inst.hedgeRace)
 	}
-	s.par.spawned++
-	s.par.inFlight++
-	s.par.instances[c] = inst
-	s.parHedgeArm(inst)
-	if inst.isScan() && inst.site != c.Home {
-		size := s.cfg.Classes[c.Class].MsgLength
-		t := s.ring.TransmitTime(size)
-		c.Service += t
-		c.NetService += t
-		m := network.Message{
-			From:      c.Home,
-			To:        inst.site,
-			Size:      size,
-			OnDeliver: func() { s.parLand(inst, c) },
-		}
-		if s.faults != nil {
-			m.OnDrop = func() { s.parShipLost(inst, c) }
-		}
-		s.ring.Send(m)
-		return
-	}
-	s.parLand(inst, c)
+	s.start(inst.primary)
 }
 
-// parLand starts one carrier attempt at its site, unless it was
-// withdrawn in transit, the site died, or (for scans under the replica
-// manager) the copy vanished while the descriptor travelled.
-func (s *System) parLand(inst *opInstance, attempt *workload.Query) {
-	if s.dropDefunct(attempt) {
-		return
-	}
-	if !s.up(attempt.Exec) {
-		s.parAttemptLost(inst, attempt)
-		return
-	}
-	if inst.isScan() && s.repl != nil && !s.repl.mgr.Holds(attempt.Exec, attempt.Object) {
-		s.parAttemptLost(inst, attempt)
-		return
-	}
-	if attempt == inst.clone {
-		inst.cloneLanded = true
-	} else {
-		inst.primaryLanded = true
-	}
-	s.sites[attempt.Exec].Execute(attempt)
-}
-
-// parShipLost is the drop path of a carrier descriptor shipment.
-func (s *System) parShipLost(inst *opInstance, attempt *workload.Query) {
-	if s.dropDefunct(attempt) {
-		return
-	}
-	s.parAttemptLost(inst, attempt)
-}
-
-// parAttemptLost retires one carrier attempt destroyed by a fault (site
-// crash wiping it mid-service, a dead destination, or a dropped
-// descriptor). A lost clone leaves the primary racing on; a lost
-// primary survives through a live clone; with neither left, the plan
-// collapses.
+// parAttemptLost retires one carrier attempt a fault destroyed (lose
+// already released its commitment). A lost clone leaves the primary
+// racing on; a lost primary survives through a live clone; with neither
+// left, the plan collapses.
 func (s *System) parAttemptLost(inst *opInstance, attempt *workload.Query) {
-	pe := inst.pe
-	s.parRelease(attempt)
-	delete(s.par.instances, attempt)
-	attempt.Phase = phaseDone
+	rec(attempt).phase = phaseDone
 	s.par.preempted++
 	s.par.inFlight--
 	s.audRetire(s.sched.Now())
 	if attempt == inst.clone {
-		inst.clone = nil
-		s.hedge.activeClones--
-		s.hedge.cancelled++
-		if !inst.primaryDead {
+		if !s.cloneLost(&inst.hedgeRace) {
 			return
-		}
-	} else {
-		if inst.clone != nil {
-			inst.primaryDead = true
-			return
-		}
-	}
-	inst.state = instDone
-	pe.live--
-	s.parPlanFailed(pe)
-}
-
-// parOpDone fires when a carrier's last CPU burst ends: the attempt
-// retires, any race settles (loser withdrawn without double counting),
-// the operator's realized service folds into the logical query, and the
-// output ships to its consumers — or home, for root instances.
-func (s *System) parOpDone(inst *opInstance, finisher *workload.Query) {
-	pe := inst.pe
-	now := s.sched.Now()
-	s.parRelease(finisher)
-	delete(s.par.instances, finisher)
-	finisher.Phase = phaseDone
-	s.par.completedOps++
-	s.par.inFlight--
-	s.audRetire(now)
-	if inst.hedgeArmed && !inst.hedgeFired {
-		s.sched.Cancel(inst.hedgeTimer)
-		inst.hedgeFired = true
-	}
-	if finisher == inst.clone {
-		inst.clone = nil
-		s.hedge.activeClones--
-		s.hedge.wins++
-		if !inst.primaryDead {
-			s.parWithdrawAttempt(inst.q, inst.primaryLanded)
 		}
 	} else if inst.clone != nil {
-		clone := inst.clone
-		inst.clone = nil
-		s.hedge.activeClones--
-		s.hedge.cancelled++
-		s.parWithdrawAttempt(clone, inst.cloneLanded)
+		inst.primaryDead = true
+		return
 	}
 	inst.state = instDone
-	pe.live--
+	s.parPlanFailed(inst.pe)
+}
+
+// parOpDone fires when a carrier's last CPU burst ends (onExecDone has
+// released its commitment): the attempt retires, any race settles
+// (loser withdrawn without double counting), the operator's realized
+// service folds into the logical query, and the output ships to its
+// consumers — or home, for root instances.
+func (s *System) parOpDone(inst *opInstance, finisher *workload.Query) {
+	pe := inst.pe
+	rec(finisher).phase = phaseDone
+	s.par.completedOps++
+	s.par.inFlight--
+	s.audRetire(s.sched.Now())
+	s.settleRace(&inst.hedgeRace, finisher)
+	inst.state = instDone
 
 	q := pe.q
 	q.Service += finisher.Service
@@ -846,104 +699,63 @@ func (s *System) parOpDone(inst *opInstance, finisher *workload.Query) {
 	s.par.opCPUBusy += finisher.ExecService() - finisher.DiskService
 	s.par.opNetBusy += finisher.NetService
 
+	from := finisher.Exec
 	if len(inst.outTo) == 0 {
-		s.parRootResult(pe, finisher.Exec)
+		// A root instance ships its share of the final result home (a
+		// split root sends one share per instance).
+		if from == q.Home {
+			s.parArrive(pe, nil)
+		} else {
+			s.parShip(pe, from, q.Home, s.cfg.Classes[q.Class].MsgLength/float64(len(pe.insts[pe.plan.Root])), nil)
+		}
 		return
 	}
 	for _, tgt := range inst.outTo {
-		s.parShipOutput(inst, finisher.Exec, tgt)
+		if from == tgt.site {
+			s.parArrive(pe, tgt) // colocated: no shipment
+			continue
+		}
+		s.par.opNetBusy += s.parShip(pe, from, tgt.site, inst.outBytes, tgt)
+		s.par.interBytes += inst.outBytes
 	}
 }
 
-// parShipOutput moves one instance's output to one consumer instance —
-// free when colocated, a ring transmission otherwise.
-func (s *System) parShipOutput(inst *opInstance, from int, tgt *opInstance) {
-	pe := inst.pe
-	if from == tgt.site {
-		s.parDeliver(pe, tgt)
-		return
-	}
-	size := inst.outBytes
-	t := s.ring.TransmitTime(size)
-	pe.q.Service += t
-	pe.q.NetService += t
-	s.par.opNetBusy += t
-	s.par.interBytes += size
-	m := network.Message{
-		From: from,
-		To:   tgt.site,
-		Size: size,
-		Kind: eventKindOperator,
-		OnDeliver: func() {
-			if !pe.aborted {
-				s.parDeliver(pe, tgt)
-			}
-		},
+// parShip moves plan data over the ring, charged to the logical query:
+// an operator's output to consumer tgt, or (tgt nil) a root share of
+// the result home. A drop collapses the plan: the producer already
+// retired, so the data has no retry path.
+func (s *System) parShip(pe *planExec, from, to int, size float64, tgt *opInstance) float64 {
+	t := s.charge(pe.q, size)
+	m := network.Message{From: from, To: to, Size: size, OnDeliver: func() { s.parArrive(pe, tgt) }}
+	if tgt != nil {
+		m.Kind = eventKindOperator
 	}
 	if s.faults != nil {
-		// An intermediate result has no retry path: its producer already
-		// retired, so the loss collapses the plan.
-		m.OnDrop = func() {
-			if !pe.aborted {
-				s.parPlanFailed(pe)
-			}
-		}
+		m.OnDrop = func() { s.parPlanFailed(pe) }
 	}
 	s.ring.Send(m)
+	return t
 }
 
-// parDeliver counts one input arrival at a consumer instance,
-// dispatching it when its inputs are complete.
-func (s *System) parDeliver(pe *planExec, tgt *opInstance) {
+// parArrive lands plan data unless the plan collapsed meanwhile: one
+// input at consumer tgt, dispatching it once its inputs are complete, or
+// (tgt nil) one root share home, completing the logical query once
+// every share has arrived.
+func (s *System) parArrive(pe *planExec, tgt *opInstance) {
 	if pe.aborted {
+		return
+	}
+	if tgt == nil {
+		pe.rootRemaining--
+		if pe.rootRemaining == 0 {
+			s.complete(pe.q)
+		}
 		return
 	}
 	tgt.waiting--
 	if tgt.waiting == 0 && tgt.state == instPending {
 		s.parDispatch(tgt)
 	}
-}
-
-// parRootResult ships one root instance's share of the final result
-// home (a split root sends one share per instance).
-func (s *System) parRootResult(pe *planExec, from int) {
-	if from == pe.q.Home {
-		s.parRootArrived(pe)
-		return
-	}
-	size := s.cfg.Classes[pe.q.Class].MsgLength / float64(len(pe.insts[pe.plan.Root]))
-	t := s.ring.TransmitTime(size)
-	pe.q.Service += t
-	pe.q.NetService += t
-	m := network.Message{
-		From: from,
-		To:   pe.q.Home,
-		Size: size,
-		OnDeliver: func() {
-			if !pe.aborted {
-				s.parRootArrived(pe)
-			}
-		},
-	}
-	if s.faults != nil {
-		m.OnDrop = func() {
-			if !pe.aborted {
-				s.parPlanFailed(pe)
-			}
-		}
-	}
-	s.ring.Send(m)
-}
-
-// parRootArrived completes the logical query once every root share is
-// home.
-func (s *System) parRootArrived(pe *planExec) {
-	pe.rootRemaining--
-	if pe.rootRemaining > 0 {
-		return
-	}
-	delete(s.par.plans, pe.q)
-	s.complete(pe.q)
 }
 
 // parPlanFailed collapses a plan a fault broke: every surviving attempt
@@ -956,173 +768,35 @@ func (s *System) parPlanFailed(pe *planExec) {
 	s.rejectQuery(pe.q)
 }
 
-// parDeadlineAbort withdraws an operator-split query whose deadline
-// expired; deadlineExpire's own ledger (missed/aborted/rejected and the
-// terminal's think state) runs after this returns. Single-operator
-// plans never enter s.par.plans and take the monolithic abort path.
-func (s *System) parDeadlineAbort(q *workload.Query) {
-	pe := s.par.plans[q]
-	if pe == nil {
-		return
-	}
-	s.parWithdraw(pe, true)
-	q.Phase = phaseDone
-}
-
 // parWithdraw aborts every in-flight attempt of a plan exactly once:
-// unfired hedge timers are cancelled, racing clones and live primaries
-// are withdrawn from their sites (or marked defunct in transit), and
-// each withdrawal releases its load-table commitment. byDeadline routes
-// the withdrawals into the deadline-conservation ledger.
+// each dispatched instance's race settles (timer retired, racing clone
+// withdrawn) and its live primary is withdrawn, each withdrawal
+// releasing its load-table commitment. byDeadline routes the
+// withdrawals into the deadline-conservation ledger.
 func (s *System) parWithdraw(pe *planExec, byDeadline bool) {
 	pe.aborted = true
-	delete(s.par.plans, pe.q)
 	if byDeadline {
 		s.par.dlWithdrawing = true
 	}
 	for _, insts := range pe.insts {
 		for _, inst := range insts {
-			if inst.hedgeArmed && !inst.hedgeFired {
-				s.sched.Cancel(inst.hedgeTimer)
-				inst.hedgeFired = true
-			}
+			// A lost instance's unfired hedge is retired too.
+			s.sched.Cancel(inst.timer)
 			if inst.state != instDispatched {
 				continue
 			}
-			if inst.clone != nil {
-				clone := inst.clone
-				inst.clone = nil
-				s.hedge.activeClones--
-				s.hedge.cancelled++
-				if byDeadline {
-					s.par.dlOpsAborted++
-				}
-				s.parWithdrawAttempt(clone, inst.cloneLanded)
+			if byDeadline && inst.clone != nil {
+				s.par.dlOpsAborted++
 			}
+			s.settleRace(&inst.hedgeRace, inst.primary)
 			if !inst.primaryDead {
 				if byDeadline {
 					s.par.dlOpsAborted++
 				}
-				s.parWithdrawAttempt(inst.q, inst.primaryLanded)
+				s.withdraw(inst.primary)
 			}
 			inst.state = instDone
-			pe.live--
 		}
 	}
-	if byDeadline {
-		s.par.dlWithdrawing = false
-	}
-}
-
-// parWithdrawAttempt removes one attempt from wherever it currently is:
-// aborted in place at its site, or — if the descriptor is still in
-// transit — marked defunct so the delivery drops it. The commitment is
-// released exactly once either way.
-func (s *System) parWithdrawAttempt(attempt *workload.Query, landed bool) {
-	if !s.sites[attempt.Exec].Abort(attempt) && !landed {
-		s.markDefunct(attempt)
-	}
-	s.parRelease(attempt)
-	delete(s.par.instances, attempt)
-	attempt.Phase = phaseDone
-	s.par.abortedOps++
-	s.par.inFlight--
-	s.audRetire(s.sched.Now())
-}
-
-// parHedgeArm schedules the straggler hedge for a remotely dispatched
-// operator, reusing the class-quantile delay of the query-level hedge.
-func (s *System) parHedgeArm(inst *opInstance) {
-	if s.hedge == nil || !s.par.cfg.Hedge {
-		return
-	}
-	if inst.site == inst.pe.q.Home || inst.state != instDispatched {
-		return
-	}
-	inst.hedgeArmed = true
-	inst.hedgeTimer = s.sched.After(s.hedgeDelay(inst.pe.q.Class), func() { s.parHedgeFire(inst) })
-	inst.hedgeTimer.SetKind(eventKindHedge)
-}
-
-// parHedgeFire launches an operator clone if the primary is still in
-// flight when the trigger fires. The clone shares the query-level hedge
-// ledger (launched/wins/cancelled) so the deadline-conservation
-// identity covers operator races too. A non-scan clone starts in place
-// at its site: the already-delivered inputs are assumed to travel with
-// the (small) clone descriptor rather than being re-shipped.
-func (s *System) parHedgeFire(inst *opInstance) {
-	inst.hedgeFired = true
-	pe := inst.pe
-	if pe.aborted || inst.state != instDispatched || inst.clone != nil || inst.primaryDead {
-		return
-	}
-	site := s.parHedgeSite(inst)
-	if site == policy.NoSite {
-		return
-	}
-	p := inst.q
-	clone := &workload.Query{
-		ID:         p.ID,
-		Class:      p.Class,
-		Home:       p.Home,
-		Exec:       site,
-		Object:     p.Object,
-		ReadsTotal: p.ReadsTotal,
-		EstReads:   p.EstReads,
-		EstPageCPU: p.EstPageCPU,
-		PageCPU:    p.PageCPU,
-		SubmitTime: p.SubmitTime,
-		Phase:      phaseCommitted,
-	}
-	inst.clone = clone
-	s.par.instances[clone] = inst
-	s.hedge.launched++
-	s.hedge.activeClones++
-	s.parAssign(clone)
-	if s.aud != nil {
-		s.aud.Submitted(s.sched.Now())
-	}
-	s.par.spawned++
-	s.par.inFlight++
-	if inst.isScan() && site != p.Home {
-		size := s.cfg.Classes[clone.Class].MsgLength
-		t := s.ring.TransmitTime(size)
-		clone.Service += t
-		clone.NetService += t
-		m := network.Message{
-			From:      p.Home,
-			To:        site,
-			Size:      size,
-			OnDeliver: func() { s.parLand(inst, clone) },
-		}
-		if s.faults != nil {
-			m.OnDrop = func() { s.parShipLost(inst, clone) }
-		}
-		s.ring.Send(m)
-		return
-	}
-	s.parLand(inst, clone)
-}
-
-// parHedgeSite picks the clone's site: the policy's best up site
-// distinct from the primary's, confined to fragment holders for scans.
-func (s *System) parHedgeSite(inst *opInstance) int {
-	s.hedgeScratch = s.hedgeScratch[:0]
-	if inst.isScan() && s.cfg.Placement != nil {
-		for _, c := range s.candidateSites(inst.q) {
-			if c != inst.site && s.up(c) {
-				s.hedgeScratch = append(s.hedgeScratch, c)
-			}
-		}
-	} else {
-		for c := 0; c < s.cfg.NumSites; c++ {
-			if c != inst.site && s.up(c) {
-				s.hedgeScratch = append(s.hedgeScratch, c)
-			}
-		}
-	}
-	if len(s.hedgeScratch) == 0 {
-		return policy.NoSite
-	}
-	return s.parSelect(inst.q, s.hedgeScratch)
+	s.par.dlWithdrawing = false
 }

@@ -158,63 +158,31 @@ func (s *System) replDegradedSite(q *workload.Query) int {
 	return exec
 }
 
-// landQuery starts q's execution at site. Under the replica manager a
-// site lacking the fragment either fetches it over the ring first (a
-// degraded allocation) or — when a crash wiped the copy while the query
-// was in flight and the site repaired before delivery — counts the
-// landing as a loss for the watchdog to recover. Any other
-// missing-fragment execution is an allocator bug the auditor flags.
-func (s *System) landQuery(q *workload.Query, site int) {
-	if r := s.repl; r != nil && !r.mgr.Holds(site, q.Object) {
-		if q.Degraded {
-			s.replFetch(q, site)
-			return
-		}
-		if s.faults != nil {
-			s.releaseAllocation(q)
-			s.faultLost(q)
-			return
-		}
-		r.badExec++
-	}
-	s.sites[site].Execute(q)
-}
-
 // replFetch ships q's fragment from the nearest holder to the degraded
 // execution site, then executes. The holder may be down — its stable
 // storage survives the execution engine's crash (the same assumption
 // that keeps terminals alive), so archives stay readable.
 func (s *System) replFetch(q *workload.Query, site int) {
-	src := s.replNearestHolder(q.Object, site)
 	size := s.repl.cfg.FragmentSize
-	t := s.ring.TransmitTime(size)
-	q.Service += t
-	q.NetService += t
+	s.charge(q, size)
 	m := network.Message{
-		From: src,
+		From: s.replNearestHolder(q.Object, site),
 		To:   site,
 		Size: size,
 		Kind: eventKindFragment,
 		OnDeliver: func() {
-			if s.dropDefunct(q) {
+			if withdrawn(q) {
 				return
 			}
 			if !s.up(site) {
-				s.releaseAllocation(q)
-				s.faultLost(q)
+				s.lose(q)
 				return
 			}
 			s.sites[site].Execute(q)
 		},
 	}
 	if s.faults != nil {
-		m.OnDrop = func() {
-			if s.dropDefunct(q) {
-				return
-			}
-			s.releaseAllocation(q)
-			s.faultLost(q)
-		}
+		m.OnDrop = func() { s.dropped(q) }
 	}
 	s.repl.degraded++
 	s.ring.Send(m)

@@ -82,10 +82,9 @@ type System struct {
 
 	par *parallelRuntime // operator-tree queries, nil when disabled
 
-	// defunct flags queries cancelled while a delivery for them was in
-	// flight; the delivery consumes the flag. nil unless deadlines or
-	// hedging are on.
-	defunct      map[*workload.Query]struct{}
+	// tracked gives every query an attempt record; set when deadlines,
+	// hedging, faults or operator trees are on.
+	tracked      bool
 	hedgeScratch []int // reusable candidate buffer for hedge re-selection
 
 	// respHists are the per-class measured response-time histograms (plus
@@ -232,14 +231,10 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 	if cfg.Deadline.Enabled {
-		s.dl = &deadlineRuntime{cfg: cfg.Deadline, timers: make(map[*workload.Query]sim.Handle)}
+		s.dl = &deadlineRuntime{cfg: cfg.Deadline}
 	}
 	if cfg.Hedge.Enabled {
-		s.hedge = &hedgeRuntime{
-			cfg:     cfg.Hedge,
-			races:   make(map[*workload.Query]*hedgeRace),
-			byClone: make(map[*workload.Query]*hedgeRace),
-		}
+		s.hedge = &hedgeRuntime{cfg: cfg.Hedge}
 	}
 	if cfg.Parallel.Enabled {
 		// Child 12 is the plan sampler's dedicated stream, so runs
@@ -250,9 +245,7 @@ func New(cfg Config) (*System, error) {
 			return nil, fmt.Errorf("system: %w", err)
 		}
 	}
-	if s.dl != nil || s.hedge != nil || s.par != nil {
-		s.defunct = make(map[*workload.Query]struct{})
-	}
+	s.tracked = s.dl != nil || s.hedge != nil || s.faults != nil || s.par != nil
 
 	if cfg.Audit {
 		// Open arrivals unbound the population; hedge clones and
@@ -369,11 +362,17 @@ func (s *System) startThink(home int) {
 	ev.SetKind(eventKindThink)
 }
 
-// submit realizes the allocation decision point of Figure 2: a new query
-// is generated (its optimizer estimates perturbed when estimation-error
-// injection is on) and handed to the allocation path.
+// submit is a closed terminal's submission: a new query is generated
+// and admitted.
 func (s *System) submit(home int) {
-	q := s.gen.New(home, s.sched.Now())
+	s.admit(s.gen.New(home, s.sched.Now()))
+}
+
+// admit realizes the allocation decision point of Figure 2 for a new
+// query: its optimizer estimates are perturbed when estimation-error
+// injection is on, it gets its object and lifecycle record, and it is
+// handed to the allocation path.
+func (s *System) admit(q *workload.Query) {
 	if s.noise != nil {
 		// Policies decide on the noisy estimates; execution consumes the
 		// true sampled demands (ReadsTotal and the sites' service draws).
@@ -381,6 +380,9 @@ func (s *System) submit(home int) {
 	}
 	if s.cfg.Placement != nil {
 		q.Object = s.objStream.Intn(s.cfg.Placement.NumObjects())
+	}
+	if s.tracked {
+		q.Attempt = &attempt{}
 	}
 	if s.aud != nil {
 		s.aud.Submitted(s.sched.Now())
@@ -423,8 +425,9 @@ func (s *System) allocate(q *workload.Query) {
 		s.repl.mgr.Touch(q.Object, s.sched.Now())
 	}
 	s.recordAlloc(q, exec)
+	s.commit(q, exec)
 	s.faultArm(q)
-	s.dispatch(q, exec)
+	s.start(q)
 	s.hedgeArm(q)
 }
 
@@ -469,74 +472,38 @@ func relErr(est, truth float64) float64 {
 	return d / truth
 }
 
-// dispatch commits q to the chosen execution site and starts it — either
-// locally or by shipping it over the ring. It is shared by submit and
-// the fault layer's retry path.
-func (s *System) dispatch(q *workload.Query, exec int) {
-	q.Exec = exec
-	q.Phase = phaseCommitted
-	s.table.Assign(exec, s.bound(q))
-	s.table.AssignWork(exec, q.EstCPUDemand(), q.EstDiskDemand(s.cfg.DiskTime))
-	s.replAssign(q, exec)
-	if exec == q.Home {
-		if !s.up(exec) {
-			// Only a policy ignoring Env.Up can pick a down site; treat
-			// the dispatch as instantly lost rather than execute there.
-			s.releaseAllocation(q)
-			s.faultLost(q)
-			return
-		}
-		s.landQuery(q, exec)
-		return
-	}
-	size := s.cfg.Classes[q.Class].MsgLength
-	q.Service += s.ring.TransmitTime(size)
-	q.NetService += s.ring.TransmitTime(size)
-	if s.faults != nil {
-		s.ring.Send(s.shipMessage(q, q.Home, exec, size))
-		return
-	}
-	s.ring.Send(network.Message{
-		From:      q.Home,
-		To:        exec,
-		Size:      size,
-		OnDeliver: func() { s.execDeliver(q, exec) },
-	})
-}
-
 // onExecDone fires when a query's last CPU burst ends at its execution
 // site. The query stops counting against the site; remote queries ship
 // their results home before the terminal sees them.
 func (s *System) onExecDone(q *workload.Query) {
-	if s.par != nil {
-		if inst := s.par.instances[q]; inst != nil {
-			// An operator carrier finished, not a whole query.
-			s.parOpDone(inst, q)
-			return
-		}
+	s.release(q)
+	if a := rec(q); a != nil && a.inst != nil {
+		// An operator carrier finished, not a whole query.
+		s.parOpDone(a.inst, q)
+		return
 	}
-	s.table.Complete(q.Exec, s.bound(q))
-	s.table.CompleteWork(q.Exec, q.EstCPUDemand(), q.EstDiskDemand(s.cfg.DiskTime))
-	s.replRelease(q, q.Exec)
 	if !q.Remote() {
 		s.complete(q)
 		return
 	}
-	q.Phase = phaseResult
+	setPhase(q, phaseResult)
 	size := s.cfg.Classes[q.Class].MsgLength
-	q.Service += s.ring.TransmitTime(size)
-	q.NetService += s.ring.TransmitTime(size)
+	s.charge(q, size)
 	m := network.Message{
-		From:      q.Exec,
-		To:        q.Home,
-		Size:      size,
-		OnDeliver: func() { s.resultDeliver(q) },
+		From: q.Exec,
+		To:   q.Home,
+		Size: size,
+		OnDeliver: func() {
+			if !withdrawn(q) {
+				s.complete(q)
+			}
+		},
 	}
 	if s.faults != nil {
 		// A dropped result page set loses the execution's output; the
-		// load-table commitment was already released above, so only the
-		// loss is recorded and the watchdog re-runs the query.
-		m.OnDrop = func() { s.resultDropped(q) }
+		// commitment was already released above, so only the loss is
+		// recorded and the watchdog re-runs the query.
+		m.OnDrop = func() { s.dropped(q) }
 	}
 	s.ring.Send(m)
 }
@@ -550,14 +517,15 @@ func (s *System) complete(q *workload.Query) {
 	// The finishing attempt's realized slowdown feeds the gray-failure
 	// detector, attributed to the site that executed it.
 	s.suspectObserve(q)
-	key := q
-	if s.hedge != nil {
-		key = s.hedgeResolve(q)
+	if a := rec(q); a != nil {
+		a.phase = phaseDone
+		key := rec(s.hedgeResolve(q))
+		s.faultRetire(key)
+		if s.deadlineRetire(key) {
+			s.dl.met++
+		}
+		key.phase = phaseDone
 	}
-	s.faultComplete(key)
-	s.deadlineMet(key)
-	key.Phase = phaseDone
-	q.Phase = phaseDone
 	if s.measuring {
 		response := now - q.SubmitTime
 		// Waiting is response minus pure execution service (disk + CPU).

@@ -160,11 +160,11 @@ type Query struct {
 	// on every allocation attempt.
 	Degraded bool
 
-	// Phase is scratch space for the system layer's lifecycle tracking
-	// (deadline aborts and hedged execution need to know where a query
-	// currently is to cancel it). The workload package assigns it no
-	// meaning.
-	Phase int8
+	// Attempt is scratch space for the system layer's lifecycle record
+	// (deadline aborts, hedge races, fault watchdogs and operator carriers
+	// need to know where a query currently is). The workload package
+	// assigns it no meaning.
+	Attempt any
 }
 
 // ExecService returns the pure execution service received (disk + CPU,

@@ -125,8 +125,14 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	tl := &tally{hist: stats.NewLogHistogram(1, 60e6, 0.02)}
 	root := rng.NewStream(*seed)
 
-	// Reporters: site i posts its outstanding counts every report period
-	// until the run context ends.
+	// A site that has never reported starts with its breaker open, so
+	// every site reports once before the first request; otherwise the
+	// requests sent before the first report-period tick are refused as
+	// unavailable. Reporters then post every report period until the run
+	// context ends.
+	for i := range states {
+		postReport(client, *url, i, states[i])
+	}
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 	var reporters sync.WaitGroup

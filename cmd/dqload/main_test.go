@@ -14,9 +14,10 @@ import (
 	"dqalloc/internal/serve"
 )
 
-// startTarget builds an in-process dqserve-equivalent server for the
-// loader to drive, pre-warmed with one clean report per site so the
-// first decisions are not spent waiting for the reporter warm-up.
+// startTarget builds a fresh in-process dqserve-equivalent server for
+// the loader to drive. No site has reported yet, exactly as after a
+// dqserve restart: the loader's own start-up reports must open the
+// breakers before its first request.
 func startTarget(t *testing.T, numSites int) *httptest.Server {
 	t.Helper()
 	cfg := serve.Default()
@@ -31,15 +32,31 @@ func startTarget(t *testing.T, numSites int) *httptest.Server {
 		ts.Close()
 		srv.Close()
 	})
-	for s := 0; s < numSites; s++ {
-		body := fmt.Sprintf(`{"site":%d,"num_io":0,"num_cpu":0}`, s)
-		resp, err := http.Post(ts.URL+"/v1/report", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-	}
 	return ts
+}
+
+// TestRunReportsBeforeFirstRequest: against a server no site has
+// reported to, a short fault-free open-loop run must see no
+// "unavailable" answers. The first reporter tick comes a full report
+// period after start, so without start-up reports the early requests
+// find every breaker still open.
+func TestRunReportsBeforeFirstRequest(t *testing.T) {
+	ts := startTarget(t, 6)
+	var buf bytes.Buffer
+	err := run(context.Background(), []string{
+		"-url", ts.URL, "-sites", "6", "-rate", "300", "-duration", "300ms",
+		"-report-period", "200ms", "-service-mean", "5ms",
+	}, &buf)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, buf.String())
+	}
+	out := buf.String()
+	if strings.Contains(out, "sent=0 ") {
+		t.Fatalf("no requests sent: %q", out)
+	}
+	if !strings.Contains(out, " unavailable=0 ") {
+		t.Errorf("fresh server answered unavailable: %q", out)
+	}
 }
 
 func TestRunRejectsBadInvocations(t *testing.T) {

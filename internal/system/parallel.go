@@ -388,10 +388,10 @@ func (s *System) parCarrier(pe *planExec, node int) *workload.Query {
 
 // selectAmong runs the allocation policy for q over the given candidate
 // set (nil = all sites), preserving the ambient Env.
-func (s *System) selectAmong(c *workload.Query, cands []int) int {
+func (s *System) selectAmong(q *workload.Query, cands []int) int {
 	saved := s.env.Candidates
 	s.env.Candidates = cands
-	exec := s.pol.Select(c, c.Home, s.env)
+	exec := s.pol.Select(q, q.Home, s.env)
 	s.env.Candidates = saved
 	return exec
 }

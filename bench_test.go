@@ -9,7 +9,6 @@ package dqalloc
 import (
 	"testing"
 
-	"dqalloc/internal/dquery"
 	"dqalloc/internal/exper"
 	"dqalloc/internal/policy"
 	"dqalloc/internal/system"
@@ -230,29 +229,6 @@ func BenchmarkAblationProbes(b *testing.B) {
 		}
 		b.ReportMetric(rows[0].WProbeRT, "Wprobe1")
 		b.ReportMetric(rows[1].WProbeRT, "Wprobe2")
-	}
-}
-
-// BenchmarkJoinHotSpot runs the distributed-join extension's hot-spot
-// scenario and reports the static-vs-dynamic response ratio.
-func BenchmarkJoinHotSpot(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var resp [2]float64
-		for j, kind := range []dquery.StrategyKind{dquery.Static, dquery.Dynamic} {
-			cfg := dquery.Default()
-			cfg.Strategy = kind
-			cfg.HotProb = 0.9
-			cfg.Warmup = 1000
-			cfg.Measure = 10000
-			sys, err := dquery.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			resp[j] = sys.Run().MeanResponse
-		}
-		if resp[1] > 0 {
-			b.ReportMetric(resp[0]/resp[1], "static/dynamic")
-		}
 	}
 }
 

@@ -48,26 +48,6 @@ func main() {
 	}
 }
 
-// parseKind maps a policy name to its Kind.
-func parseKind(name string) (policy.Kind, error) {
-	switch strings.ToUpper(strings.TrimSpace(name)) {
-	case "LOCAL":
-		return policy.Local, nil
-	case "RANDOM":
-		return policy.Random, nil
-	case "BNQ":
-		return policy.BNQ, nil
-	case "BNQRD":
-		return policy.BNQRD, nil
-	case "LERT":
-		return policy.LERT, nil
-	case "WORK":
-		return policy.Work, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", name)
-	}
-}
-
 func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("dqserve", flag.ContinueOnError)
 	fs.SetOutput(w)
@@ -99,7 +79,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	kind, err := parseKind(*polName)
+	kind, err := policy.ParseKind(*polName)
 	if err != nil {
 		return err
 	}

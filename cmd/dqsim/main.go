@@ -107,7 +107,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	kind, err := parsePolicy(*policyName)
+	kind, err := policy.ParseKind(*policyName)
 	if err != nil {
 		return err
 	}
@@ -315,25 +315,6 @@ func run(args []string, w io.Writer) error {
 		return enc.Encode(results)
 	}
 	return nil
-}
-
-func parsePolicy(name string) (policy.Kind, error) {
-	switch strings.ToUpper(name) {
-	case "LOCAL":
-		return policy.Local, nil
-	case "RANDOM":
-		return policy.Random, nil
-	case "BNQ":
-		return policy.BNQ, nil
-	case "BNQRD":
-		return policy.BNQRD, nil
-	case "LERT":
-		return policy.LERT, nil
-	case "WORK":
-		return policy.Work, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", name)
-	}
 }
 
 func printResults(w io.Writer, r system.Results) {

@@ -167,23 +167,14 @@ func setter(param string) (func(*system.Config, float64) error, error) {
 func parsePolicies(s string) ([]policy.Kind, error) {
 	var kinds []policy.Kind
 	for _, name := range strings.Split(s, ",") {
-		switch strings.ToUpper(strings.TrimSpace(name)) {
-		case "LOCAL":
-			kinds = append(kinds, policy.Local)
-		case "RANDOM":
-			kinds = append(kinds, policy.Random)
-		case "BNQ":
-			kinds = append(kinds, policy.BNQ)
-		case "BNQRD":
-			kinds = append(kinds, policy.BNQRD)
-		case "LERT":
-			kinds = append(kinds, policy.LERT)
-		case "WORK":
-			kinds = append(kinds, policy.Work)
-		case "":
-		default:
-			return nil, fmt.Errorf("unknown policy %q", name)
+		if strings.TrimSpace(name) == "" {
+			continue
 		}
+		kind, err := policy.ParseKind(name)
+		if err != nil {
+			return nil, err
+		}
+		kinds = append(kinds, kind)
 	}
 	if len(kinds) == 0 {
 		return nil, fmt.Errorf("no policies given")

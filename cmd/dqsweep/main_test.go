@@ -92,6 +92,13 @@ func TestParsePolicies(t *testing.T) {
 	if _, err := parsePolicies(""); err == nil {
 		t.Error("empty list accepted")
 	}
+	if _, err := parsePolicies(" , ,"); err == nil {
+		t.Error("list of blank entries accepted")
+	}
+	kinds, err = parsePolicies(",WORK,, random,")
+	if err != nil || len(kinds) != 2 || kinds[0] != policy.Work || kinds[1] != policy.Random {
+		t.Errorf("blank entries not skipped: %v, %v", kinds, err)
+	}
 }
 
 func TestRunSweepSmoke(t *testing.T) {

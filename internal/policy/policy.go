@@ -7,6 +7,7 @@ package policy
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"dqalloc/internal/loadinfo"
 	"dqalloc/internal/rng"
@@ -168,6 +169,18 @@ func (k Kind) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseKind converts a policy name, as printed by Kind.String, to its
+// Kind. Matching is case-insensitive and ignores surrounding spaces.
+func ParseKind(s string) (Kind, error) {
+	name := strings.ToUpper(strings.TrimSpace(s))
+	for k := Local; k <= Work; k++ {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("policy: unknown policy %q (want LOCAL, RANDOM, BNQ, BNQRD, LERT, or WORK)", s)
 }
 
 // New builds a policy of the given kind for a system of numSites sites.

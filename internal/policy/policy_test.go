@@ -2,6 +2,7 @@ package policy
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"dqalloc/internal/loadinfo"
@@ -230,6 +231,26 @@ func TestPolicyNames(t *testing.T) {
 		}
 		if p.Name() != kind.String() {
 			t.Errorf("policy name %q != kind %q", p.Name(), kind)
+		}
+	}
+}
+
+// TestParseKind round-trips every Kind through its printed name in any
+// case and with surrounding spaces, and rejects names that are not
+// policies.
+func TestParseKind(t *testing.T) {
+	for k := Local; k <= Work; k++ {
+		name := k.String()
+		for _, in := range []string{name, strings.ToLower(name), " " + name + "\t"} {
+			got, err := ParseKind(in)
+			if err != nil || got != k {
+				t.Errorf("ParseKind(%q) = %v, %v; want %v", in, got, err, k)
+			}
+		}
+	}
+	for _, bad := range []string{"", "unknown", "FIFO", "LER T", "LERT2"} {
+		if k, err := ParseKind(bad); err == nil {
+			t.Errorf("ParseKind(%q) = %v, want an error", bad, k)
 		}
 	}
 }

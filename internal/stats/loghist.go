@@ -11,7 +11,7 @@ import (
 // geometric midpoint of any bucket is within a factor (1+relErr) of
 // every value the bucket holds: quantile estimates carry a bounded
 // *relative* error of relErr regardless of where in the range they
-// fall — unlike a linear-bin Histogram, whose absolute bin width makes
+// fall — unlike a linear-bin histogram, whose absolute bin width makes
 // small quantiles arbitrarily coarse.
 //
 // Values below lo clamp to lo and values at or above hi land in a

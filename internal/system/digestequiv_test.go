@@ -251,6 +251,12 @@ func lifecycleDigests(t *testing.T) []struct {
 	chaos.Suspect = loadinfo.DefaultSuspect()
 	chaos.Warmup, chaos.Measure = 500, 50000
 
+	// (f) degraded fetch reads under suspicion: each degraded selection
+	// swaps the suspicion penalty out and back in. Unlike (a)–(e), this
+	// digest was captured after the attempt record landed.
+	degraded := degradedSuspectConfig(t)
+	degraded.TraceDigest = true
+
 	return []struct {
 		name string
 		cfg  Config
@@ -261,6 +267,7 @@ func lifecycleDigests(t *testing.T) []struct {
 		{"replication-rebuild", repl, 0x773f548843636c73},
 		{"gray-golden", gray, 0x31af046875984a0c},
 		{"bench-chaos", chaos, 0xf87982fd75b07981},
+		{"degraded-suspect", degraded, 0xf5aa9a6533a184ad},
 	}
 }
 

@@ -280,16 +280,6 @@ func (s *System) parNumFrags() int {
 	return 0
 }
 
-// pages rounds a fractional page count to at least one page, matching
-// workload's clamp convention.
-func pages(x float64) int {
-	n := int(math.Round(x))
-	if n < 1 {
-		return 1
-	}
-	return n
-}
-
 // parSubmit is the allocation entry point with operator trees on: the
 // sampler draws a plan, single-operator plans take the monolithic path
 // unchanged, and multi-operator plans enter the engine.
@@ -622,14 +612,14 @@ func (s *System) parPlaceSplit(pe *planExec, joinNode int) bool {
 		sc := s.parCarrier(pe, partNode)
 		sc.ReadsTotal = rep.Shares[i]
 		sc.EstReads = float64(rep.Shares[i])
-		shareOut := pages(cfg.SelScan * float64(rep.Shares[i]))
+		shareOut := workload.ClampPages(cfg.SelScan * float64(rep.Shares[i]))
 		// Colocated with its join instance: no ring shipment.
 		shares[i] = newInst(pe, partNode, rep.Sites[i], sc, 0)
 		jc := s.parCarrier(pe, joinNode)
 		jreads := shareOut + repOut
 		jc.ReadsTotal = jreads
 		jc.EstReads = float64(jreads)
-		jout := pages(cfg.SelJoin * float64(jreads))
+		jout := workload.ClampPages(cfg.SelJoin * float64(jreads))
 		joins[i] = newInst(pe, joinNode, rep.Sites[i], jc, float64(jout)*cfg.ShipBytesPerPage)
 	}
 	pe.insts[partNode] = shares

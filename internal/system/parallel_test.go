@@ -1,13 +1,16 @@
 package system
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dqalloc/internal/fault"
 	"dqalloc/internal/policy"
 	"dqalloc/internal/replica"
 	"dqalloc/internal/sim"
+	"dqalloc/internal/workload"
 )
 
 // parallelCfg returns the shared short-horizon base with operator trees
@@ -141,6 +144,60 @@ func TestParallelUnderPlacement(t *testing.T) {
 					r.ParallelQueries, r.OperatorsCompleted)
 			}
 		})
+	}
+}
+
+// staticPlanPolicy is a load-oblivious planner: it always picks the
+// lowest-numbered candidate, or site 0 when unconstrained, so every
+// query with the same operators gets the same plan.
+type staticPlanPolicy struct{}
+
+func (staticPlanPolicy) Name() string { return "STATIC" }
+
+func (staticPlanPolicy) Select(_ *workload.Query, _ int, env *policy.Env) int {
+	if env.Candidates == nil {
+		return 0
+	}
+	if len(env.Candidates) == 0 {
+		return policy.NoSite
+	}
+	return slices.Min(env.Candidates)
+}
+
+// TestParallelStaticPlanConvoy reproduces the paper's §1.1 argument for
+// dynamic allocation: if every query gets the same statically chosen
+// plan, only the few sites in that plan are busy while the rest idle.
+// Every query is a two-way join over a hot, small, 2-copy placement;
+// the static planner convoys on the lowest-numbered holders while LERT
+// spreads each operator by load, under both schedulers and audit.
+func TestParallelStaticPlanConvoy(t *testing.T) {
+	for _, objects := range []int{1, 6} {
+		for _, impl := range []sim.Impl{sim.Calendar, sim.Heap} {
+			t.Run(fmt.Sprintf("objects=%d/%v", objects, impl), func(t *testing.T) {
+				run := func(custom policy.Policy) Results {
+					cfg := parallelCfg(policy.LERT, 1, policy.ParallelOperator)
+					cfg.CustomPolicy = custom
+					cfg.Scheduler = impl
+					p, err := replica.NewRoundRobin(cfg.NumSites, objects, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Placement = p
+					return runDigest(t, cfg)
+				}
+				static, lert := run(staticPlanPolicy{}), run(nil)
+				t.Logf("STATIC mean resp %.0f completed %d; LERT mean resp %.0f completed %d",
+					static.MeanResponse, static.Completed, lert.MeanResponse, lert.Completed)
+				if static.MeanResponse < 2*lert.MeanResponse {
+					t.Errorf("STATIC mean response %.1f, want ≥ 2× LERT's %.1f",
+						static.MeanResponse, lert.MeanResponse)
+				}
+				if static.Completed >= lert.Completed {
+					t.Errorf("STATIC completed %d queries, want fewer than LERT's %d",
+						static.Completed, lert.Completed)
+				}
+			})
+		}
 	}
 }
 

@@ -146,12 +146,11 @@ func (s *System) replDegradedSite(q *workload.Query) int {
 	if s.repl.cfg.Degraded == replica.DegradedReject {
 		return policy.NoSite
 	}
-	saved := s.env.Candidates
+	savedCands, savedPenalty := s.env.Candidates, s.env.Penalty
 	s.env.Candidates = nil
 	s.env.Penalty = s.repl.penaltyFn
 	exec := s.pol.Select(q, q.Home, s.env)
-	s.env.Penalty = nil
-	s.env.Candidates = saved
+	s.env.Candidates, s.env.Penalty = savedCands, savedPenalty
 	if exec != policy.NoSite {
 		q.Degraded = true
 	}

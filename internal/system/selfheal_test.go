@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dqalloc/internal/fault"
+	"dqalloc/internal/loadinfo"
 	"dqalloc/internal/policy"
 	"dqalloc/internal/replica"
 )
@@ -144,6 +145,36 @@ func TestDegradedFetchServesUnreachableFragments(t *testing.T) {
 	}
 	if r.Completed == 0 {
 		t.Error("no completions")
+	}
+}
+
+// degradedSuspectConfig is degradedConfig in fetch mode with the
+// gray-failure detector on, so degraded reads and suspicion penalties
+// share the policy environment.
+func degradedSuspectConfig(t *testing.T) Config {
+	t.Helper()
+	cfg := degradedConfig(t, replica.DegradedFetch)
+	cfg.Suspect = loadinfo.DefaultSuspect()
+	return cfg
+}
+
+// TestDegradedFetchKeepsSuspectPenalty: a degraded read swaps in the
+// fetch-cost penalty for its own selection only; the suspicion
+// detector's penalty hook must be back in place afterwards.
+func TestDegradedFetchKeepsSuspectPenalty(t *testing.T) {
+	sys, err := New(degradedSuspectConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sys.Run()
+	if err := sys.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	if r.DegradedReads == 0 {
+		t.Fatal("no degraded reads to exercise the penalty swap")
+	}
+	if sys.env.Penalty == nil {
+		t.Errorf("suspicion penalty hook lost after %d degraded reads", r.DegradedReads)
 	}
 }
 

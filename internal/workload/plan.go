@@ -287,9 +287,8 @@ func ExpandFragRep(pl *replica.Placement, frag, pages int, sites []int) (FragRep
 	return out, nil
 }
 
-// clampPages rounds a fractional page count to at least one page — the
-// same convention the seed dquery package uses for selectivity output.
-func clampPages(x float64) int {
+// ClampPages rounds a fractional page count to at least one page.
+func ClampPages(x float64) int {
 	n := int(math.Round(x))
 	if n < 1 {
 		return 1
@@ -355,10 +354,10 @@ func (g *PlanGen) New(q *Query, meanReads float64) Plan {
 	filter := g.stream.Bernoulli(g.cfg.FilterProb)
 
 	left := Operator{Kind: OpScan, Reads: q.ReadsTotal, Frag: q.Object}
-	left.OutPages = clampPages(g.cfg.SelScan * float64(left.Reads))
+	left.OutPages = ClampPages(g.cfg.SelScan * float64(left.Reads))
 	left.OutBytes = float64(left.OutPages) * g.cfg.ShipBytesPerPage
 	right := Operator{Kind: OpScan, Reads: rightReads, Frag: rightFrag}
-	right.OutPages = clampPages(g.cfg.SelScan * float64(right.Reads))
+	right.OutPages = ClampPages(g.cfg.SelScan * float64(right.Reads))
 	right.OutBytes = float64(right.OutPages) * g.cfg.ShipBytesPerPage
 	join := Operator{
 		Kind:    OpJoin,
@@ -367,7 +366,7 @@ func (g *PlanGen) New(q *Query, meanReads float64) Plan {
 		Frag:    -1,
 		Inputs:  []int{0, 1},
 	}
-	join.OutPages = clampPages(g.cfg.SelJoin * float64(join.Reads))
+	join.OutPages = ClampPages(g.cfg.SelJoin * float64(join.Reads))
 	join.OutBytes = float64(join.OutPages) * g.cfg.ShipBytesPerPage
 	ops := []Operator{left, right, join}
 	root := 2
@@ -379,7 +378,7 @@ func (g *PlanGen) New(q *Query, meanReads float64) Plan {
 			Frag:    -1,
 			Inputs:  []int{2},
 		}
-		f.OutPages = clampPages(g.cfg.SelScan * float64(f.Reads))
+		f.OutPages = ClampPages(g.cfg.SelScan * float64(f.Reads))
 		f.OutBytes = float64(f.OutPages) * g.cfg.ShipBytesPerPage
 		ops = append(ops, f)
 		root = 3

@@ -199,8 +199,12 @@ func (r *Ring) poll() {
 		return
 	}
 	n := len(r.queues)
-	for i := 0; i < n; i++ {
-		s := (r.cursor + i) % n
+	// Wrap with a compare rather than a % per station: poll runs on
+	// every transmission.
+	for i, s := 0, r.cursor; i < n; i, s = i+1, s+1 {
+		if s == n {
+			s = 0
+		}
 		if len(r.queues[s]) == 0 {
 			continue
 		}
@@ -208,7 +212,9 @@ func (r *Ring) poll() {
 		copy(r.queues[s], r.queues[s][1:])
 		r.queues[s][len(r.queues[s])-1] = Message{}
 		r.queues[s] = r.queues[s][:len(r.queues[s])-1]
-		r.cursor = (s + 1) % n
+		if r.cursor = s + 1; r.cursor == n {
+			r.cursor = 0
+		}
 		r.transmit(m)
 		return
 	}

@@ -105,33 +105,34 @@ func NewTuned(kind Kind, numSites int, tune Tuning, stream *rng.Stream) (Policy,
 	return NewTunedSelector(cost, numSites, tune, stream)
 }
 
-// sampleRemotes returns up to PowerK eligible remote sites drawn
+// appendSample appends to dst up to PowerK eligible remote sites drawn
 // uniformly without replacement (partial Fisher–Yates over the eligible
-// set). When fewer than K remotes are eligible every one is returned —
+// set). When fewer than K remotes are eligible every one is appended —
 // and no draws are consumed, so stream usage depends only on the
 // decision sequence, never on which sites happen to be down.
-func (sel *Selector) sampleRemotes(arrival int, env *Env) []int {
-	sel.scratch = sel.scratch[:0]
+func (sel *Selector) appendSample(dst []int, arrival int, env *Env) []int {
+	base := len(dst)
 	if env.Candidates == nil {
 		for s := 0; s < env.NumSites; s++ {
 			if s != arrival && env.siteUp(s) {
-				sel.scratch = append(sel.scratch, s)
+				dst = append(dst, s)
 			}
 		}
 	} else {
 		for _, s := range env.Candidates {
 			if s != arrival && env.siteUp(s) {
-				sel.scratch = append(sel.scratch, s)
+				dst = append(dst, s)
 			}
 		}
 	}
+	pool := dst[base:]
 	k := sel.tune.PowerK
-	if k >= len(sel.scratch) {
-		return sel.scratch
+	if k >= len(pool) {
+		return dst
 	}
 	for i := 0; i < k; i++ {
-		j := i + sel.stream.Intn(len(sel.scratch)-i)
-		sel.scratch[i], sel.scratch[j] = sel.scratch[j], sel.scratch[i]
+		j := i + sel.stream.Intn(len(pool)-i)
+		pool[i], pool[j] = pool[j], pool[i]
 	}
-	return sel.scratch[:k]
+	return dst[:base+k]
 }

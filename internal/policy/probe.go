@@ -26,6 +26,10 @@ type Probe struct {
 	cost   CostFunc
 	k      int
 	stream *rng.Stream
+
+	// batch lists the sites one decision costs: the arrival site first
+	// when it is allowed, then the probes.
+	batch Batch
 }
 
 var _ Policy = (*Probe)(nil)
@@ -54,25 +58,29 @@ func (p *Probe) Name() string {
 // strictly cheaper. NoSite when neither the arrival site nor any pool
 // member is an allowed (live, copy-holding) execution site.
 func (p *Probe) Select(q *workload.Query, arrival int, env *Env) int {
-	best := NoSite
-	minCost := math.Inf(1)
+	b := &p.batch
+	b.Sites = b.Sites[:0]
 	if env.allowed(arrival) {
-		best = arrival
-		minCost = p.cost.SiteCost(q, arrival, arrival, env)
+		b.Sites = append(b.Sites, arrival)
 	}
+	first := len(b.Sites)
 	pool := remotePool(arrival, env)
-	k := p.k
-	if k > len(pool) {
-		k = len(pool)
-	}
+	k := min(p.k, len(pool))
 	// Partial Fisher–Yates: draw k distinct probes from the pool.
 	for i := 0; i < k; i++ {
 		j := i + p.stream.Intn(len(pool)-i)
 		pool[i], pool[j] = pool[j], pool[i]
-		site := pool[i]
-		if cur := p.cost.SiteCost(q, site, arrival, env); cur < minCost {
-			minCost = cur
-			best = site
+	}
+	b.Sites = append(b.Sites, pool[:k]...)
+	b.price(p.cost, q, arrival, env)
+	best := NoSite
+	minCost := math.Inf(1)
+	if first == 1 {
+		best, minCost = arrival, b.Costs[0]
+	}
+	for i := first; i < len(b.Sites); i++ {
+		if b.Costs[i] < minCost {
+			best, minCost = b.Sites[i], b.Costs[i]
 		}
 	}
 	if best < 0 && len(pool) > 0 {

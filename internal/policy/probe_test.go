@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -201,5 +202,60 @@ func TestProbePolicyInSimulator(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Error("probing LERT never escaped a loaded arrival site")
+	}
+}
+
+// referenceProbe is the per-site probing loop as it was written before
+// probes were costed in one batch: the arrival site seeds the minimum,
+// then each drawn probe is costed and kept on a strict improvement.
+func referenceProbe(name string, k int, stream *rng.Stream, q *workload.Query, arrival int, env *Env) int {
+	best := NoSite
+	minCost := math.Inf(1)
+	if env.allowed(arrival) {
+		best, minCost = arrival, refCost(name, q, arrival, arrival, env)
+	}
+	pool := remotePool(arrival, env)
+	k = min(k, len(pool))
+	for i := 0; i < k; i++ {
+		j := i + stream.Intn(len(pool)-i)
+		pool[i], pool[j] = pool[j], pool[i]
+		if c := refCost(name, q, pool[i], arrival, env); c < minCost {
+			best, minCost = pool[i], c
+		}
+	}
+	if best < 0 && len(pool) > 0 {
+		best = pool[0]
+	}
+	return best
+}
+
+// TestProbeMatchesReference: batch-costed probing decides exactly like
+// the per-site reference and draws the same probes, across random views,
+// candidate sets, liveness masks and CPU speeds. Probing never prices
+// the Penalty hook, so the drawn environments go without one.
+func TestProbeMatchesReference(t *testing.T) {
+	const n = 7
+	for _, cost := range []CostFunc{bnqCost{}, bnqrdCost{}, lertCost{}} {
+		for _, k := range []int{1, 2, 6} {
+			p, err := NewProbe(cost, k, rng.NewStream(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := rng.NewStream(8)
+			st := rng.NewStream(12)
+			for trial := 0; trial < 400; trial++ {
+				env := randomEnv(st, n)
+				env.Penalty = nil
+				q := ioQuery()
+				if st.Bernoulli(0.5) {
+					q = cpuQuery()
+				}
+				arrival := st.Intn(n)
+				want := referenceProbe(cost.Name(), k, ref, q, arrival, env)
+				if got := p.Select(q, arrival, env); got != want {
+					t.Fatalf("%s k=%d trial %d: probe chose %d, reference chose %d", p.Name(), k, trial, got, want)
+				}
+			}
+		}
 	}
 }

@@ -27,10 +27,10 @@ func TestWorkCostBottleneck(t *testing.T) {
 	var wc workCost
 	q := &workload.Query{EstReads: 10, EstPageCPU: 0.1} // cpu 1, io 10
 	// Site 0: max((30+1)/1, (0+10)/2) = 31. Site 1: max(1, 20/2=10) = 10.
-	if got := wc.SiteCost(q, 0, 0, env); got != 31 {
+	if got := siteCost(wc, q, 0, 0, env); got != 31 {
 		t.Errorf("cost(site0) = %v, want 31", got)
 	}
-	if got := wc.SiteCost(q, 1, 0, env); got != 10 {
+	if got := siteCost(wc, q, 1, 0, env); got != 10 {
 		t.Errorf("cost(site1) = %v, want 10", got)
 	}
 }
@@ -39,7 +39,7 @@ func TestWorkCostFallsBackToCounts(t *testing.T) {
 	// A plain View without work info degrades to query counts.
 	env := testEnv(fixedView{io: []int{2, 0}, cpu: []int{1, 1}}, 2)
 	var wc workCost
-	if got := wc.SiteCost(ioQuery(), 0, 0, env); got != 3 {
+	if got := siteCost(wc, ioQuery(), 0, 0, env); got != 3 {
 		t.Errorf("fallback cost = %v, want count 3", got)
 	}
 }
@@ -53,8 +53,8 @@ func TestWorkCostUsesSpeed(t *testing.T) {
 	env.CPUSpeeds = []float64{2, 1}
 	var wc workCost
 	q := &workload.Query{EstReads: 20, EstPageCPU: 1.0}
-	fast := wc.SiteCost(q, 0, 0, env)
-	slow := wc.SiteCost(q, 1, 0, env)
+	fast := siteCost(wc, q, 0, 0, env)
+	slow := siteCost(wc, q, 1, 0, env)
 	if fast >= slow {
 		t.Errorf("fast site cost %v not below slow %v", fast, slow)
 	}

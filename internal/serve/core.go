@@ -91,10 +91,7 @@ func NewCore(cfg Config) (*Core, error) {
 		NumSites: cfg.NumSites,
 		NumDisks: cfg.NumDisks,
 		DiskTime: cfg.DiskTime,
-		NetTime: func(q *workload.Query, from, to int) float64 {
-			if from == to {
-				return 0
-			}
+		NetTime: func(q *workload.Query) float64 {
 			// Query shipped out plus results shipped back, the
 			// simulator's cost model (system.New).
 			return 2 * cfg.MsgTime * cfg.Classes[q.Class].MsgLength

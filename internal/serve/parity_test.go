@@ -106,10 +106,7 @@ func runParity(t *testing.T, cfg Config, steps int) (coreDigest, simDigest uint6
 		NumSites: cfg.NumSites,
 		NumDisks: cfg.NumDisks,
 		DiskTime: cfg.DiskTime,
-		NetTime: func(q *workload.Query, from, to int) float64 {
-			if from == to {
-				return 0
-			}
+		NetTime: func(q *workload.Query) float64 {
 			return 2 * cfg.MsgTime * cfg.Classes[q.Class].MsgLength
 		},
 	}

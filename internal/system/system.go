@@ -151,10 +151,7 @@ func New(cfg Config) (*System, error) {
 		NumSites: cfg.NumSites,
 		NumDisks: cfg.NumDisks,
 		DiskTime: cfg.DiskTime,
-		NetTime: func(q *workload.Query, from, to int) float64 {
-			if from == to {
-				return 0
-			}
+		NetTime: func(q *workload.Query) float64 {
 			return 2 * s.ring.TransmitTime(cfg.Classes[q.Class].MsgLength)
 		},
 		CPUSpeeds: cfg.CPUSpeeds,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"dqalloc/internal/fault"
 	"dqalloc/internal/sim"
 	"dqalloc/internal/stats"
 )
@@ -26,36 +27,43 @@ func (v *violation) failf(format string, args ...any) {
 // Err returns the latched violation, or nil.
 func (v *violation) Err() error { return v.err }
 
-// Conservation audits query conservation: at every submission and
-// completion instant, submitted = completed + in-flight, the in-flight
-// count stays within the closed population, the independently maintained
-// load table tracks a subset of the in-flight queries, and every site's
-// active count decomposes exactly into its CPU and disk occupancies.
+// Conservation audits query conservation. At every submission, completion
+// and rejection, submitted = completed + rejected + in-flight, the
+// in-flight count stays within the closed population, the independently
+// maintained load table tracks a subset of the in-flight queries, and
+// every site's active count decomposes exactly into its CPU and disk
+// occupancies. At every event boundary and at Finalize the lifecycle
+// Ledger's identities hold; the fail-slow pairings are checked once a
+// fail-slow or brownout transition has run, and at Finalize.
 type Conservation struct {
 	violation
 	capacity   int        // closed population: sites × mpl
+	led        *Ledger    // lifecycle ledger, nil when not tracked
+	slow       SlowLedger // fail-slow ledger, nil without fail-slow injection
 	tableTotal func() int // live load-table total (allocated, not exec-done)
 	sites      func(buf []SiteCounts) []SiteCounts
 
 	submitted uint64
 	completed uint64
 	rejected  uint64
+	slowMoved bool // a fail-slow or brownout transition ran since the last check
 	buf       []SiteCounts
 }
 
 // NewConservation builds the auditor. capacity is the closed population
 // bound (NumSites × MPL), or 0 for an open system (unbounded in-flight
-// population — the open-arrival extension); tableTotal reads the load
-// table; sites (optional) reports the per-site census into the provided
-// buffer.
-func NewConservation(capacity int, tableTotal func() int, sites func(buf []SiteCounts) []SiteCounts) *Conservation {
+// population — the open-arrival extension); led (optional) is the
+// lifecycle ledger and slow (optional) the fail-slow ledger; tableTotal
+// reads the load table; sites (optional) reports the per-site census
+// into the provided buffer.
+func NewConservation(capacity int, led *Ledger, slow SlowLedger, tableTotal func() int, sites func(buf []SiteCounts) []SiteCounts) *Conservation {
 	if capacity < 0 {
 		panic("check: negative conservation capacity")
 	}
 	if tableTotal == nil {
 		panic("check: nil tableTotal")
 	}
-	return &Conservation{capacity: capacity, tableTotal: tableTotal, sites: sites}
+	return &Conservation{capacity: capacity, led: led, slow: slow, tableTotal: tableTotal, sites: sites}
 }
 
 // Name implements Auditor.
@@ -82,6 +90,46 @@ func (c *Conservation) Rejected(t float64) {
 
 // InFlight returns the current submitted-minus-retired count.
 func (c *Conservation) InFlight() uint64 { return c.submitted - c.completed - c.rejected }
+
+// EventFired implements EventObserver: the ledgers must balance whenever
+// the model is quiescent.
+func (c *Conservation) EventFired(e *sim.Event) {
+	if c.err != nil {
+		return
+	}
+	if c.slowMoved {
+		c.checkSlow(e.Time())
+	}
+	c.slowMoved = c.slow != nil && e.Kind >= fault.EventKindSlowOn && e.Kind <= fault.EventKindBrownoutOff
+	c.checkLedger(e.Time())
+}
+
+// Finalize implements Finalizer, re-checking both ledgers at measurement
+// end.
+func (c *Conservation) Finalize(f Final) {
+	if c.err != nil {
+		return
+	}
+	if c.slow != nil {
+		c.checkSlow(f.End)
+	}
+	c.checkLedger(f.End)
+}
+
+func (c *Conservation) checkLedger(t float64) {
+	if c.led == nil {
+		return
+	}
+	if err := c.led.balance(c.rejected); err != nil {
+		c.failf("check: conservation: t=%v: %v", t, err)
+	}
+}
+
+func (c *Conservation) checkSlow(t float64) {
+	if err := slowBalance(c.slow.Totals()); err != nil {
+		c.failf("check: conservation: t=%v: %v", t, err)
+	}
+}
 
 func (c *Conservation) check(t float64) {
 	if c.err != nil {
@@ -203,7 +251,7 @@ func (l *LittlesLaw) Completed(t float64) {
 // Rejected implements RejectObserver. Rejections remove queries from
 // the population without a response-time sample, decoupling N̄ from
 // λ·W; the integral stays honest but the end-of-run identity check is
-// skipped (FaultConservation owns the accounting under faults).
+// skipped (Conservation's ledger owns the accounting under faults).
 func (l *LittlesLaw) Rejected(t float64) {
 	l.inflight--
 	l.tw.Set(t, float64(l.inflight))
@@ -342,226 +390,13 @@ func (r *RingConservation) check(t float64) {
 	}
 }
 
-// FaultTotals is the fault layer's loss ledger, read by the
-// fault-conservation auditor through a closure so the auditor stays
-// decoupled from the system package.
-type FaultTotals struct {
-	// Lost counts execution losses (site crashes wiping queries, dropped
-	// ship/result messages).
-	Lost uint64
-	// Retried counts watchdog re-dispatches of lost queries.
-	Retried uint64
-	// Abandoned counts lost queries whose retry budget ran out (each is
-	// also a rejection).
-	Abandoned uint64
-	// Preempted counts losses resolved outside the retry path entirely:
-	// the query completed through a hedge clone, or a deadline abort
-	// withdrew it, while it was awaiting recovery (overload extension).
-	Preempted uint64
-	// PendingRecovery counts queries currently lost and awaiting their
-	// watchdog (not yet retried, abandoned, or preempted).
-	PendingRecovery int
-}
-
-// FaultConservation audits the fault layer's loss accounting between
-// every pair of events: every loss must be retried, abandoned, preempted
-// (resolved by a hedge win or deadline abort), or still awaiting its
-// watchdog — lost == retried + abandoned + preempted + pendingRecovery
-// — so no query silently vanishes. It also re-checks the closed
-// population bound using the rejection-aware in-flight count.
-type FaultConservation struct {
-	violation
-	capacity int
-	totals   func() FaultTotals
-
-	submitted uint64
-	completed uint64
-	rejected  uint64
-}
-
-// NewFaultConservation builds the auditor. capacity is the closed
-// population bound (NumSites × MPL), or 0 for an open system; totals
-// reads the fault layer's counters.
-func NewFaultConservation(capacity int, totals func() FaultTotals) *FaultConservation {
-	if capacity < 0 {
-		panic("check: negative fault-conservation capacity")
-	}
-	if totals == nil {
-		panic("check: nil fault totals")
-	}
-	return &FaultConservation{capacity: capacity, totals: totals}
-}
-
-// Name implements Auditor.
-func (f *FaultConservation) Name() string { return "fault-conservation" }
-
-// Submitted implements QueryObserver.
-func (f *FaultConservation) Submitted(t float64) { f.submitted++; f.check(t) }
-
-// Completed implements QueryObserver.
-func (f *FaultConservation) Completed(t float64) { f.completed++; f.check(t) }
-
-// Rejected implements RejectObserver.
-func (f *FaultConservation) Rejected(t float64) { f.rejected++; f.check(t) }
-
-// Lost implements LossObserver.
-func (f *FaultConservation) Lost(t float64) { f.check(t) }
-
-// Retried implements LossObserver.
-func (f *FaultConservation) Retried(t float64) { f.check(t) }
-
-// EventFired implements EventObserver: the ledger identity must hold
-// whenever the model is quiescent.
-func (f *FaultConservation) EventFired(e *sim.Event) {
-	if f.err == nil {
-		f.check(e.Time())
-	}
-}
-
-// Finalize implements Finalizer, re-checking at measurement end.
-func (f *FaultConservation) Finalize(fin Final) {
-	if f.err == nil {
-		f.check(fin.End)
-	}
-}
-
-func (f *FaultConservation) check(t float64) {
-	if f.err != nil {
-		return
-	}
-	tot := f.totals()
-	if tot.PendingRecovery < 0 {
-		f.failf("check: fault-conservation: t=%v: negative pending-recovery count %d",
-			t, tot.PendingRecovery)
-		return
-	}
-	if tot.Lost != tot.Retried+tot.Abandoned+tot.Preempted+uint64(tot.PendingRecovery) {
-		f.failf("check: fault-conservation: t=%v: %d lost != %d retried + %d abandoned + %d preempted + %d pending recovery",
-			t, tot.Lost, tot.Retried, tot.Abandoned, tot.Preempted, tot.PendingRecovery)
-		return
-	}
-	if f.completed+f.rejected > f.submitted {
-		f.failf("check: fault-conservation: t=%v: %d completions + %d rejections exceed %d submissions",
-			t, f.completed, f.rejected, f.submitted)
-		return
-	}
-	if inflight := f.submitted - f.completed - f.rejected; f.capacity > 0 && inflight > uint64(f.capacity) {
-		f.failf("check: fault-conservation: t=%v: %d queries in flight exceed closed population %d",
-			t, inflight, f.capacity)
-	}
-}
-
-// AdmissionTotals is the admission controller's shed/defer ledger, read
-// by the admission-conservation auditor through a closure so the auditor
-// stays decoupled from the system package.
-type AdmissionTotals struct {
-	// Deferred counts admission deferrals: queries bounced by an
-	// overloaded site and parked for a delayed resubmission.
-	Deferred uint64
-	// Resubmitted counts deferred queries whose delay elapsed and that
-	// re-entered allocation.
-	Resubmitted uint64
-	// Shed counts queries rejected outright by admission control (each
-	// is also a rejection).
-	Shed uint64
-	// Aborted counts parked queries withdrawn by a deadline abort before
-	// their resubmission timer fired (overload extension).
-	Aborted uint64
-	// Waiting counts queries currently parked awaiting resubmission.
-	Waiting int
-}
-
-// AdmissionConservation audits the overload-admission ledger between
-// every pair of events: every deferral must be resubmitted, still
-// parked, or withdrawn by a deadline abort — deferred == resubmitted +
-// waiting + aborted — so no bounced query silently vanishes; sheds
-// never exceed observed rejections; and the rejection-aware in-flight
-// count respects the closed population.
-type AdmissionConservation struct {
-	violation
-	capacity int
-	totals   func() AdmissionTotals
-
-	submitted uint64
-	completed uint64
-	rejected  uint64
-}
-
-// NewAdmissionConservation builds the auditor. capacity is the closed
-// population bound (NumSites × MPL), or 0 for an open system; totals
-// reads the admission controller's counters.
-func NewAdmissionConservation(capacity int, totals func() AdmissionTotals) *AdmissionConservation {
-	if capacity < 0 {
-		panic("check: negative admission-conservation capacity")
-	}
-	if totals == nil {
-		panic("check: nil admission totals")
-	}
-	return &AdmissionConservation{capacity: capacity, totals: totals}
-}
-
-// Name implements Auditor.
-func (a *AdmissionConservation) Name() string { return "admission-conservation" }
-
-// Submitted implements QueryObserver.
-func (a *AdmissionConservation) Submitted(t float64) { a.submitted++; a.check(t) }
-
-// Completed implements QueryObserver.
-func (a *AdmissionConservation) Completed(t float64) { a.completed++; a.check(t) }
-
-// Rejected implements RejectObserver.
-func (a *AdmissionConservation) Rejected(t float64) { a.rejected++; a.check(t) }
-
-// EventFired implements EventObserver: the ledger identity must hold
-// whenever the model is quiescent.
-func (a *AdmissionConservation) EventFired(e *sim.Event) {
-	if a.err == nil {
-		a.check(e.Time())
-	}
-}
-
-// Finalize implements Finalizer, re-checking at measurement end.
-func (a *AdmissionConservation) Finalize(fin Final) {
-	if a.err == nil {
-		a.check(fin.End)
-	}
-}
-
-func (a *AdmissionConservation) check(t float64) {
-	if a.err != nil {
-		return
-	}
-	tot := a.totals()
-	if tot.Waiting < 0 {
-		a.failf("check: admission-conservation: t=%v: negative waiting count %d", t, tot.Waiting)
-		return
-	}
-	if tot.Deferred != tot.Resubmitted+tot.Aborted+uint64(tot.Waiting) {
-		a.failf("check: admission-conservation: t=%v: %d deferred != %d resubmitted + %d waiting + %d aborted",
-			t, tot.Deferred, tot.Resubmitted, tot.Waiting, tot.Aborted)
-		return
-	}
-	if tot.Shed > a.rejected {
-		a.failf("check: admission-conservation: t=%v: %d sheds exceed %d observed rejections",
-			t, tot.Shed, a.rejected)
-		return
-	}
-	if a.completed+a.rejected > a.submitted {
-		a.failf("check: admission-conservation: t=%v: %d completions + %d rejections exceed %d submissions",
-			t, a.completed, a.rejected, a.submitted)
-		return
-	}
-	if inflight := a.submitted - a.completed - a.rejected; a.capacity > 0 && inflight > uint64(a.capacity) {
-		a.failf("check: admission-conservation: t=%v: %d queries in flight exceed closed population %d",
-			t, inflight, a.capacity)
-	}
-}
-
 // ReplicationState is the replica manager's invariant snapshot, read by
 // the replication-conservation auditor through a closure so the auditor
 // stays decoupled from the system and replica packages. Mutations must
 // change whenever any other field can have changed; the auditor skips
-// its (O(objects × sites)) re-scan while it is stable.
+// its (O(objects × sites)) re-scan while it is stable. The closure
+// returns the producer's cached snapshot by pointer, so an unchanged
+// state is never copied.
 type ReplicationState struct {
 	// Mutations is the manager's placement/transfer change counter plus
 	// any system-side violation counters.
@@ -594,7 +429,7 @@ type ReplicationState struct {
 // fragment undeclared.
 type ReplicationConservation struct {
 	violation
-	state func() ReplicationState
+	state func() *ReplicationState
 
 	lastMutations uint64
 	checkedOnce   bool
@@ -602,7 +437,7 @@ type ReplicationConservation struct {
 
 // NewReplicationConservation builds the auditor; state reads the replica
 // manager's snapshot.
-func NewReplicationConservation(state func() ReplicationState) *ReplicationConservation {
+func NewReplicationConservation(state func() *ReplicationState) *ReplicationConservation {
 	if state == nil {
 		panic("check: nil replication state")
 	}
@@ -652,85 +487,5 @@ func (r *ReplicationConservation) check(t float64) {
 	case st.BadExec > 0:
 		r.failf("check: replication-conservation: t=%v: %d queries executed at sites lacking their fragment",
 			t, st.BadExec)
-	}
-}
-
-// SlowTotals is the fail-slow layer's episode ledger, read by the
-// slow-fault-conservation auditor through a closure so the auditor stays
-// decoupled from the fault package.
-type SlowTotals struct {
-	// Episodes and Recoveries count fail-slow onsets and completed
-	// recoveries; Degraded counts sites currently inside an episode.
-	Episodes, Recoveries uint64
-	Degraded             int
-	// Brownouts and BrownoutEnds count ring-brownout onsets and ends;
-	// BrownoutActive reports whether one is open now.
-	Brownouts, BrownoutEnds uint64
-	BrownoutActive          bool
-}
-
-// SlowFaultConservation audits the fail-slow episode accounting between
-// every pair of events: every onset must be recovered or still open —
-// episodes == recoveries + degraded — with the open count bounded by the
-// site count, and symmetrically for the single ring brownout process.
-// An imbalance means a site was left degraded (or restored) without its
-// ledger knowing, which would silently corrupt every degraded-time and
-// suspicion statistic built on it.
-type SlowFaultConservation struct {
-	violation
-	numSites int
-	totals   func() SlowTotals
-}
-
-// NewSlowFaultConservation builds the auditor. numSites bounds the
-// number of concurrently degraded sites; totals reads the fail-slow
-// ledger.
-func NewSlowFaultConservation(numSites int, totals func() SlowTotals) *SlowFaultConservation {
-	if numSites < 1 {
-		panic("check: slow-fault-conservation needs at least one site")
-	}
-	if totals == nil {
-		panic("check: nil slow totals")
-	}
-	return &SlowFaultConservation{numSites: numSites, totals: totals}
-}
-
-// Name implements Auditor.
-func (s *SlowFaultConservation) Name() string { return "slow-fault-conservation" }
-
-// EventFired implements EventObserver: the ledger identity must hold
-// whenever the model is quiescent.
-func (s *SlowFaultConservation) EventFired(e *sim.Event) {
-	if s.err == nil {
-		s.check(e.Time())
-	}
-}
-
-// Finalize implements Finalizer, re-checking at measurement end.
-func (s *SlowFaultConservation) Finalize(fin Final) {
-	if s.err == nil {
-		s.check(fin.End)
-	}
-}
-
-func (s *SlowFaultConservation) check(t float64) {
-	tot := s.totals()
-	if tot.Degraded < 0 || tot.Degraded > s.numSites {
-		s.failf("check: slow-fault-conservation: t=%v: degraded count %d outside [0,%d]",
-			t, tot.Degraded, s.numSites)
-		return
-	}
-	if tot.Episodes != tot.Recoveries+uint64(tot.Degraded) {
-		s.failf("check: slow-fault-conservation: t=%v: %d episodes != %d recoveries + %d degraded",
-			t, tot.Episodes, tot.Recoveries, tot.Degraded)
-		return
-	}
-	open := uint64(0)
-	if tot.BrownoutActive {
-		open = 1
-	}
-	if tot.Brownouts != tot.BrownoutEnds+open {
-		s.failf("check: slow-fault-conservation: t=%v: %d brownouts != %d ends + %d open",
-			t, tot.Brownouts, tot.BrownoutEnds, open)
 	}
 }

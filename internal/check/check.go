@@ -6,10 +6,11 @@
 // The paper's claims rest on the analytic MVA model (Section 3) and the
 // discrete-event simulation (Section 5) agreeing where their assumptions
 // overlap. These auditors are the simulation half of that cross-validation
-// discipline: they assert conservation (nothing is created or lost),
-// bounded utilizations, Little's law, event-clock monotonicity, and
-// token-ring message conservation while the model runs. Auditing is wired
-// behind system.Config.Audit so benchmark hot paths pay nothing when off.
+// discipline: they assert conservation (nothing is created or lost, and
+// every identity of the query-lifecycle Ledger balances), bounded
+// utilizations, Little's law, event-clock monotonicity, and token-ring
+// message conservation while the model runs. Auditing is wired behind
+// system.Config.Audit so benchmark hot paths pay nothing when off.
 package check
 
 import "dqalloc/internal/sim"
@@ -48,15 +49,6 @@ type EventObserver interface {
 // a completion.
 type RejectObserver interface {
 	Rejected(t float64)
-}
-
-// LossObserver is notified of fault-induced query losses: Lost fires
-// when an allocated query's execution is wiped out (site crash or
-// message drop), Retried when its watchdog re-dispatches it. A lost
-// query stays in flight until it is retried to completion or rejected.
-type LossObserver interface {
-	Lost(t float64)
-	Retried(t float64)
 }
 
 // MeasureObserver is notified when the warmup transient ends and
@@ -100,7 +92,6 @@ type Set struct {
 	all     []Auditor
 	query   []QueryObserver
 	reject  []RejectObserver
-	loss    []LossObserver
 	event   []EventObserver
 	measure []MeasureObserver
 	final   []Finalizer
@@ -115,9 +106,6 @@ func NewSet(auditors ...Auditor) *Set {
 		}
 		if o, ok := a.(RejectObserver); ok {
 			s.reject = append(s.reject, o)
-		}
-		if o, ok := a.(LossObserver); ok {
-			s.loss = append(s.loss, o)
 		}
 		if o, ok := a.(EventObserver); ok {
 			s.event = append(s.event, o)
@@ -153,20 +141,6 @@ func (s *Set) Completed(t float64) {
 func (s *Set) Rejected(t float64) {
 	for _, o := range s.reject {
 		o.Rejected(t)
-	}
-}
-
-// Lost dispatches a fault-loss hook.
-func (s *Set) Lost(t float64) {
-	for _, o := range s.loss {
-		o.Lost(t)
-	}
-}
-
-// Retried dispatches a retry-dispatch hook.
-func (s *Set) Retried(t float64) {
-	for _, o := range s.loss {
-		o.Retried(t)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 func TestConservationCleanRun(t *testing.T) {
 	table := 0
 	sites := []SiteCounts{{Active: 0, AtCPU: 0, AtDisk: 0}}
-	c := NewConservation(4, func() int { return table }, func(buf []SiteCounts) []SiteCounts {
+	c := NewConservation(4, nil, nil, func() int { return table }, func(buf []SiteCounts) []SiteCounts {
 		return append(buf, sites...)
 	})
 	// Two queries flow through: submit (table entry + site admission),
@@ -33,14 +33,14 @@ func TestConservationCleanRun(t *testing.T) {
 
 func TestConservationViolations(t *testing.T) {
 	t.Run("completionWithoutSubmission", func(t *testing.T) {
-		c := NewConservation(4, func() int { return 0 }, nil)
+		c := NewConservation(4, nil, nil, func() int { return 0 }, nil)
 		c.Completed(1)
 		if c.Err() == nil {
 			t.Fatal("uncovered completion not flagged")
 		}
 	})
 	t.Run("populationExceeded", func(t *testing.T) {
-		c := NewConservation(2, func() int { return 0 }, nil)
+		c := NewConservation(2, nil, nil, func() int { return 0 }, nil)
 		for i := 0; i < 3; i++ {
 			c.Submitted(float64(i))
 		}
@@ -49,14 +49,14 @@ func TestConservationViolations(t *testing.T) {
 		}
 	})
 	t.Run("tableAboveInflight", func(t *testing.T) {
-		c := NewConservation(4, func() int { return 2 }, nil)
+		c := NewConservation(4, nil, nil, func() int { return 2 }, nil)
 		c.Submitted(1)
 		if c.Err() == nil || !strings.Contains(c.Err().Error(), "load table") {
 			t.Fatalf("table/in-flight mismatch not flagged: %v", c.Err())
 		}
 	})
 	t.Run("siteCensusMismatch", func(t *testing.T) {
-		c := NewConservation(4, func() int { return 1 },
+		c := NewConservation(4, nil, nil, func() int { return 1 },
 			func(buf []SiteCounts) []SiteCounts {
 				return append(buf, SiteCounts{Active: 1, AtCPU: 0, AtDisk: 0})
 			})
@@ -66,7 +66,7 @@ func TestConservationViolations(t *testing.T) {
 		}
 	})
 	t.Run("activeAboveTable", func(t *testing.T) {
-		c := NewConservation(4, func() int { return 0 },
+		c := NewConservation(4, nil, nil, func() int { return 0 },
 			func(buf []SiteCounts) []SiteCounts {
 				return append(buf, SiteCounts{Active: 1, AtCPU: 1, AtDisk: 0})
 			})
@@ -254,7 +254,7 @@ func TestSetDispatch(t *testing.T) {
 // TestAuditorNames pins the names used in violation triage.
 func TestAuditorNames(t *testing.T) {
 	names := []string{
-		NewConservation(1, func() int { return 0 }, nil).Name(),
+		NewConservation(1, nil, nil, func() int { return 0 }, nil).Name(),
 		NewUtilization().Name(),
 		NewLittlesLaw().Name(),
 		NewMonotonicity().Name(),
@@ -265,72 +265,5 @@ func TestAuditorNames(t *testing.T) {
 		if n != want[i] {
 			t.Errorf("auditor %d name = %q, want %q", i, n, want[i])
 		}
-	}
-}
-
-func TestAdmissionConservationCleanRun(t *testing.T) {
-	tot := AdmissionTotals{}
-	a := NewAdmissionConservation(4, func() AdmissionTotals { return tot })
-	// One query admitted and completed, one deferred then resubmitted and
-	// completed, one shed.
-	a.Submitted(1)
-	a.Completed(2)
-	tot.Deferred, tot.Waiting = 1, 1
-	a.check(3)
-	tot.Resubmitted, tot.Waiting = 1, 0
-	a.Submitted(4)
-	a.Completed(5)
-	a.Submitted(6)
-	tot.Shed++
-	a.Rejected(6)
-	a.Finalize(Final{End: 7})
-	if err := a.Err(); err != nil {
-		t.Fatalf("clean admission run flagged: %v", err)
-	}
-}
-
-func TestAdmissionConservationViolations(t *testing.T) {
-	t.Run("leakedDeferral", func(t *testing.T) {
-		tot := AdmissionTotals{Deferred: 2, Resubmitted: 1, Waiting: 0}
-		a := NewAdmissionConservation(4, func() AdmissionTotals { return tot })
-		a.check(1)
-		if a.Err() == nil || !strings.Contains(a.Err().Error(), "deferred") {
-			t.Fatalf("leaked deferral not flagged: %v", a.Err())
-		}
-	})
-	t.Run("negativeWaiting", func(t *testing.T) {
-		tot := AdmissionTotals{Waiting: -1}
-		a := NewAdmissionConservation(4, func() AdmissionTotals { return tot })
-		a.check(1)
-		if a.Err() == nil || !strings.Contains(a.Err().Error(), "negative waiting") {
-			t.Fatalf("negative waiting not flagged: %v", a.Err())
-		}
-	})
-	t.Run("shedWithoutRejection", func(t *testing.T) {
-		tot := AdmissionTotals{Shed: 1}
-		a := NewAdmissionConservation(4, func() AdmissionTotals { return tot })
-		a.Submitted(1)
-		if a.Err() == nil || !strings.Contains(a.Err().Error(), "sheds exceed") {
-			t.Fatalf("unobserved shed not flagged: %v", a.Err())
-		}
-	})
-	t.Run("populationExceeded", func(t *testing.T) {
-		a := NewAdmissionConservation(2, func() AdmissionTotals { return AdmissionTotals{} })
-		for i := 0; i < 3; i++ {
-			a.Submitted(float64(i))
-		}
-		if a.Err() == nil || !strings.Contains(a.Err().Error(), "closed population") {
-			t.Fatalf("population overflow not flagged: %v", a.Err())
-		}
-	})
-	t.Run("uncoveredCompletion", func(t *testing.T) {
-		a := NewAdmissionConservation(2, func() AdmissionTotals { return AdmissionTotals{} })
-		a.Completed(1)
-		if a.Err() == nil {
-			t.Fatal("uncovered completion not flagged")
-		}
-	})
-	if got := NewAdmissionConservation(1, func() AdmissionTotals { return AdmissionTotals{} }).Name(); got != "admission-conservation" {
-		t.Errorf("name = %q", got)
 	}
 }

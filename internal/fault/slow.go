@@ -28,8 +28,10 @@ const (
 	EventKindBrownoutOff byte = 0x56
 )
 
-// SlowTotals is the fail-slow ledger snapshot read by the
-// check.SlowFaultConservation auditor through a closure.
+// SlowTotals is the fail-slow ledger snapshot. The check.Conservation
+// auditor reads it after each fail-slow or brownout transition and at
+// measurement end, and pairs every onset with a recovery or an open
+// episode.
 type SlowTotals struct {
 	// Episodes and Recoveries count fail-slow onsets and completed
 	// recoveries; Degraded counts sites currently inside an episode.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"dqalloc/internal/check"
 	"dqalloc/internal/rng"
 	"dqalloc/internal/workload"
 )
@@ -76,23 +75,6 @@ type admissionRuntime struct {
 	// stream draws resubmission delays; a dedicated child of the root
 	// stream so deferrals never perturb the other model streams.
 	stream *rng.Stream
-
-	shed        uint64
-	deferred    uint64
-	resubmitted uint64
-	aborted     uint64 // parked queries withdrawn by a deadline abort
-	waiting     int
-}
-
-// totals implements the closure read by check.NewAdmissionConservation.
-func (ar *admissionRuntime) totals() check.AdmissionTotals {
-	return check.AdmissionTotals{
-		Deferred:    ar.deferred,
-		Resubmitted: ar.resubmitted,
-		Shed:        ar.shed,
-		Aborted:     ar.aborted,
-		Waiting:     ar.waiting,
-	}
 }
 
 // overloadedAt reports whether the chosen site is at its admission bound.
@@ -111,13 +93,13 @@ func (s *System) admissionBounce(q *workload.Query) {
 	if ar.cfg.Defer && q.Defers < ar.cfg.MaxDefers {
 		q.Defers++
 		setPhase(q, phaseDeferred)
-		ar.deferred++
-		ar.waiting++
+		s.led.Deferred++
+		s.led.Waiting++
 		ev := s.sched.After(ar.stream.Exp(ar.cfg.DeferDelay), func() { s.resubmit(q) })
 		ev.SetKind(eventKindDefer)
 		return
 	}
-	ar.shed++
+	s.led.Shed++
 	s.rejectQuery(q)
 }
 
@@ -128,7 +110,7 @@ func (s *System) resubmit(q *workload.Query) {
 	if withdrawn(q) {
 		return // withdrawn by a deadline abort while parked
 	}
-	s.adm.waiting--
-	s.adm.resubmitted++
+	s.led.Waiting--
+	s.led.Resubmitted++
 	s.allocate(q)
 }

@@ -122,8 +122,8 @@ func (s *System) commit(q *workload.Query, exec int) {
 	s.table.AssignWork(exec, q.EstCPUDemand(), q.EstDiskDemand(s.cfg.DiskTime))
 	s.replAssign(q, exec)
 	if a := rec(q); a != nil && a.inst != nil {
-		s.par.commits++
-		s.par.tableLive++
+		s.led.Commits++
+		s.led.TableLive++
 	}
 }
 
@@ -136,10 +136,10 @@ func (s *System) release(q *workload.Query) {
 	s.table.CompleteWork(q.Exec, q.EstCPUDemand(), q.EstDiskDemand(s.cfg.DiskTime))
 	s.replRelease(q, q.Exec)
 	if a := rec(q); a != nil && a.inst != nil {
-		s.par.releases++
-		s.par.tableLive--
+		s.led.Releases++
+		s.led.TableLive--
 		if s.par.dlWithdrawing {
-			s.par.dlOpReleases++
+			s.led.DeadlineOpReleases++
 		}
 	}
 }
@@ -159,8 +159,8 @@ func (s *System) enter(q *workload.Query, exec int) {
 		s.aud.Submitted(s.sched.Now())
 	}
 	if rec(q).inst != nil {
-		s.par.spawned++
-		s.par.inFlight++
+		s.led.Ops++
+		s.led.OpsInFlight++
 	}
 	s.commit(q, exec)
 }
@@ -248,7 +248,7 @@ func (s *System) lose(q *workload.Query) {
 //   - phaseResult: execution already released the commitment; only the
 //     homeward result message remains, marked defunct.
 //   - phaseDeferred: parked by admission; the resubmission is marked
-//     defunct and the admission ledger records the abort.
+//     defunct and the ledger records the abort.
 //   - phaseLost: nothing is in flight; retiring the watchdog records
 //     that the pending recovery was preempted.
 func (s *System) withdraw(q *workload.Query) {
@@ -263,14 +263,14 @@ func (s *System) withdraw(q *workload.Query) {
 		a.defunct = true
 	case phaseDeferred:
 		a.defunct = true
-		s.adm.waiting--
-		s.adm.aborted++
+		s.led.Waiting--
+		s.led.Aborted++
 	}
 	s.faultRetire(a)
 	a.phase = phaseDone
 	if a.inst != nil {
-		s.par.abortedOps++
-		s.par.inFlight--
+		s.led.OpsAborted++
+		s.led.OpsInFlight--
 	}
 	if a.spawned {
 		s.audRetire(s.sched.Now())
@@ -309,8 +309,8 @@ func (s *System) hedgeFire(r *hedgeRace) {
 		Attempt:    &attempt{race: r, inst: rec(p).inst, spawned: true},
 	}
 	r.clone = c
-	s.hedge.launched++
-	s.hedge.activeClones++
+	s.led.Hedges++
+	s.led.Racing++
 	s.enter(c, exec)
 	s.start(c)
 }
@@ -343,15 +343,15 @@ func (s *System) settleRace(r *hedgeRace, winner *workload.Query) {
 	s.sched.Cancel(r.timer)
 	if c := r.clone; c != nil {
 		r.clone = nil
-		s.hedge.activeClones--
+		s.led.Racing--
 		if winner == c {
-			s.hedge.wins++
+			s.led.HedgeWins++
 			if !r.primaryDead {
 				s.withdraw(r.primary)
 			}
 			return
 		}
-		s.hedge.cancelled++
+		s.led.HedgeCancelled++
 		s.withdraw(c)
 	}
 }
@@ -360,7 +360,7 @@ func (s *System) settleRace(r *hedgeRace, winner *workload.Query) {
 // the primary is dead too, leaving nothing to carry the work.
 func (s *System) cloneLost(r *hedgeRace) bool {
 	r.clone = nil
-	s.hedge.activeClones--
-	s.hedge.cancelled++
+	s.led.Racing--
+	s.led.HedgeCancelled++
 	return r.primaryDead
 }

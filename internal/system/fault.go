@@ -3,7 +3,6 @@ package system
 import (
 	"math"
 
-	"dqalloc/internal/check"
 	"dqalloc/internal/fault"
 	"dqalloc/internal/policy"
 	"dqalloc/internal/rng"
@@ -41,23 +40,6 @@ type faultRuntime struct {
 	// no-fault streams are never perturbed.
 	netStream *rng.Stream
 	bcStream  *rng.Stream
-
-	lost            uint64
-	retried         uint64
-	abandoned       uint64
-	preempted       uint64 // losses resolved by a hedge win or deadline abort
-	pendingRecovery int
-}
-
-// totals implements the closure read by check.NewFaultConservation.
-func (fr *faultRuntime) totals() check.FaultTotals {
-	return check.FaultTotals{
-		Lost:            fr.lost,
-		Retried:         fr.retried,
-		Abandoned:       fr.abandoned,
-		Preempted:       fr.preempted,
-		PendingRecovery: fr.pendingRecovery,
-	}
 }
 
 // setupFaults builds the fault runtime during New. root is the run's
@@ -160,8 +142,8 @@ func (s *System) faultRetire(a *attempt) {
 		return
 	}
 	if a.lost {
-		s.faults.pendingRecovery--
-		s.faults.preempted++
+		s.led.PendingRecovery--
+		s.led.Preempted++
 	}
 	s.sched.Cancel(a.watchdog)
 	a.watched = false
@@ -189,11 +171,8 @@ func (s *System) faultLost(q *workload.Query) {
 	}
 	a.lost = true
 	a.phase = phaseLost
-	s.faults.lost++
-	s.faults.pendingRecovery++
-	if s.aud != nil {
-		s.aud.Lost(s.sched.Now())
-	}
+	s.led.Lost++
+	s.led.PendingRecovery++
 }
 
 // faultTimeout fires when a query's watchdog expires. A query that is
@@ -217,14 +196,14 @@ func (s *System) faultRetryOrAbandon(q *workload.Query) {
 	a.retries++
 	if a.retries > s.faults.cfg.MaxRetries {
 		a.watched = false
-		s.faults.pendingRecovery--
+		s.led.PendingRecovery--
 		if r := a.race; r != nil && r.clone != nil {
 			r.primaryDead = true
 			a.phase = phaseDone
-			s.faults.preempted++
+			s.led.Preempted++
 			return
 		}
-		s.faults.abandoned++
+		s.led.Abandoned++
 		s.rejectQuery(q)
 		return
 	}
@@ -244,13 +223,10 @@ func (s *System) faultRedispatch(q *workload.Query) {
 		s.faultRetryOrAbandon(q)
 		return
 	}
-	s.faults.pendingRecovery--
-	s.faults.retried++
+	s.led.PendingRecovery--
+	s.led.Retried++
 	a.lost = false
 	q.ReadsDone = 0
-	if s.aud != nil {
-		s.aud.Retried(s.sched.Now())
-	}
 	s.commit(q, exec)
 	s.start(q)
 	s.hedgeArm(q)
@@ -264,7 +240,7 @@ func (s *System) faultRedispatch(q *workload.Query) {
 func (s *System) rejectQuery(q *workload.Query) {
 	if a := rec(q); a != nil {
 		if s.deadlineRetire(a) {
-			s.dl.cancelled++
+			s.led.Cancelled++
 		}
 		if a.race != nil {
 			// Every rejection path reaches here with no live clone (a

@@ -145,8 +145,8 @@ func TestAdmissionNonBindingMatchesDisabled(t *testing.T) {
 
 // TestAdmissionShedsAndDefersUnderOverload: a tight bound under the herd-
 // prone stale-information configuration must visibly defer and shed,
-// keep every terminal cycling, and hold the admission-conservation
-// auditor green throughout.
+// keep every terminal cycling, and hold the conservation auditor's
+// admission identities green throughout.
 func TestAdmissionShedsAndDefersUnderOverload(t *testing.T) {
 	cfg := imperfectCfg(policy.BNQ, InfoPeriodic)
 	cfg.Admission = AdmissionConfig{Enabled: true, MaxQueue: 6, Defer: true, DeferDelay: 5, MaxDefers: 2}

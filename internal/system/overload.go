@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"dqalloc/internal/arrival"
-	"dqalloc/internal/check"
 	"dqalloc/internal/rng"
 	"dqalloc/internal/workload"
 )
@@ -111,27 +110,6 @@ type arrivalRuntime struct {
 	sources []*arrival.Source
 }
 
-// deadlineRuntime is the per-run state of the deadline subsystem.
-type deadlineRuntime struct {
-	cfg DeadlineConfig
-
-	pending   int // watchdogs currently armed
-	armed     uint64
-	met       uint64
-	missed    uint64
-	cancelled uint64
-}
-
-// hedgeRuntime is the per-run state of the hedging subsystem.
-type hedgeRuntime struct {
-	cfg HedgeConfig
-
-	launched     uint64
-	wins         uint64
-	cancelled    uint64
-	activeClones int
-}
-
 // setupArrivals builds the open-arrival runtime during New. astream must
 // be the root's dedicated arrival child (Child 10); each class with a
 // positive share of the offered load gets its own source and sub-stream.
@@ -168,25 +146,6 @@ func (s *System) openArrivals() uint64 {
 	return n
 }
 
-// overloadTotals implements the closure read by
-// check.NewDeadlineConservation, merging the deadline and hedge ledgers
-// (either subsystem may be disabled).
-func (s *System) overloadTotals() check.DeadlineTotals {
-	var t check.DeadlineTotals
-	if s.dl != nil {
-		t.Armed, t.Met, t.Missed, t.Cancelled = s.dl.armed, s.dl.met, s.dl.missed, s.dl.cancelled
-		t.Pending = s.dl.pending
-	}
-	if s.hedge != nil {
-		t.HedgesLaunched, t.HedgeWins, t.HedgeCancelled = s.hedge.launched, s.hedge.wins, s.hedge.cancelled
-		t.HedgePending = s.hedge.activeClones
-	}
-	if s.par != nil {
-		t.OpsAborted, t.OpReleases = s.par.dlOpsAborted, s.par.dlOpReleases
-	}
-	return t
-}
-
 // audRetire reports to the auditors that one population member left
 // without completing or being counted in Results.QueriesRejected — a
 // cancelled hedge clone, or a primary whose clone won.
@@ -206,14 +165,14 @@ func (s *System) deadlineArm(q *workload.Query) {
 	if a.deadline.Scheduled() {
 		return
 	}
-	remaining := q.SubmitTime + s.dl.cfg.Deadline - s.sched.Now()
+	remaining := q.SubmitTime + s.dl.Deadline - s.sched.Now()
 	if remaining < 0 {
 		remaining = 0
 	}
 	a.deadline = s.sched.After(remaining, func() { s.deadlineExpire(q) })
 	a.deadline.SetKind(eventKindDeadline)
-	s.dl.armed++
-	s.dl.pending++
+	s.led.Armed++
+	s.led.Pending++
 }
 
 // deadlineRetire takes an armed deadline watchdog off — at completion
@@ -223,7 +182,7 @@ func (s *System) deadlineRetire(a *attempt) bool {
 	if s.dl == nil || !s.sched.Cancel(a.deadline) {
 		return false
 	}
-	s.dl.pending--
+	s.led.Pending--
 	return true
 }
 
@@ -233,8 +192,8 @@ func (s *System) deadlineRetire(a *attempt) bool {
 // counts as missed, aborted, and rejected. In closed mode the terminal
 // returns to thinking, preserving the population.
 func (s *System) deadlineExpire(q *workload.Query) {
-	s.dl.pending--
-	s.dl.missed++
+	s.led.Pending--
+	s.led.Missed++
 	a := rec(q)
 	if r := a.race; r != nil {
 		a.race = nil
@@ -249,7 +208,6 @@ func (s *System) deadlineExpire(q *workload.Query) {
 	if a.phase != phaseDone {
 		s.withdraw(q)
 	}
-	s.aborted++
 	s.rejected++
 	if s.aud != nil {
 		s.aud.Rejected(s.sched.Now())
@@ -283,11 +241,11 @@ func (s *System) hedgeArm(q *workload.Query) {
 func (s *System) hedgeDelay(class int) float64 {
 	h := s.respHists[class]
 	if h.Count() >= hedgeMinSamples {
-		if d := h.Quantile(s.hedge.cfg.Quantile); d > s.hedge.cfg.MinDelay {
+		if d := h.Quantile(s.hedge.Quantile); d > s.hedge.MinDelay {
 			return d
 		}
 	}
-	return s.hedge.cfg.MinDelay
+	return s.hedge.MinDelay
 }
 
 // hedgeResolve settles a race at completion time: whichever of primary

@@ -72,15 +72,15 @@ func FuzzArrivalConfig(f *testing.F) {
 		if err := s.Audit(); err != nil {
 			t.Fatalf("auditor violation: %v", err)
 		}
-		tot := s.overloadTotals()
-		if tot.Armed != tot.Met+tot.Missed+tot.Cancelled+uint64(tot.Pending) {
-			t.Fatalf("deadline ledger leaked: %+v", tot)
+		l := s.led
+		if l.Armed != l.Met+l.Missed+l.Cancelled+uint64(l.Pending) {
+			t.Fatalf("deadline ledger leaked: %+v", l)
 		}
-		if tot.HedgesLaunched != tot.HedgeWins+tot.HedgeCancelled+uint64(tot.HedgePending) {
-			t.Fatalf("hedge ledger leaked: %+v", tot)
+		if l.Hedges != l.HedgeWins+l.HedgeCancelled+uint64(l.Racing) {
+			t.Fatalf("hedge ledger leaked: %+v", l)
 		}
-		if tot.Pending < 0 || tot.HedgePending < 0 {
-			t.Fatalf("negative pending census: %+v", tot)
+		if l.Pending < 0 || l.Racing < 0 {
+			t.Fatalf("negative pending census: %+v", l)
 		}
 	})
 }

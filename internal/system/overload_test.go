@@ -124,7 +124,7 @@ func TestOpenArrivalsMMPPDeterminism(t *testing.T) {
 
 // TestDeadlineLedger: a tight deadline produces both met and missed
 // queries, every miss is an abort and a rejection, and the
-// deadline-conservation auditor holds throughout.
+// conservation auditor's deadline identity holds throughout.
 func TestDeadlineLedger(t *testing.T) {
 	cfg := overloadCfg()
 	cfg.Deadline = DeadlineConfig{Enabled: true, Deadline: 40}
@@ -237,15 +237,15 @@ func TestOverloadChaosAllSubsystems(t *testing.T) {
 			// The final ledger must balance by hand, not just via the
 			// auditor: armed == met + missed + cancelled + pending, and
 			// launched == wins + cancelled + racing.
-			tot := s.overloadTotals()
-			if tot.Armed != tot.Met+tot.Missed+tot.Cancelled+uint64(tot.Pending) {
-				t.Fatalf("deadline ledger unbalanced: %+v", tot)
+			l := s.led
+			if l.Armed != l.Met+l.Missed+l.Cancelled+uint64(l.Pending) {
+				t.Fatalf("deadline ledger unbalanced: %+v", l)
 			}
-			if tot.HedgesLaunched != tot.HedgeWins+tot.HedgeCancelled+uint64(tot.HedgePending) {
-				t.Fatalf("hedge ledger unbalanced: %+v", tot)
+			if l.Hedges != l.HedgeWins+l.HedgeCancelled+uint64(l.Racing) {
+				t.Fatalf("hedge ledger unbalanced: %+v", l)
 			}
-			if tot.HedgePending < 0 {
-				t.Fatalf("negative racing-clone census %d", tot.HedgePending)
+			if l.Racing < 0 {
+				t.Fatalf("negative racing-clone census %d", l.Racing)
 			}
 		})
 	}

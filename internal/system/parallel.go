@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"dqalloc/internal/check"
 	"dqalloc/internal/network"
 	"dqalloc/internal/policy"
 	"dqalloc/internal/rng"
@@ -205,22 +204,8 @@ type parallelRuntime struct {
 	scratch  []int  // reusable site pool for split placement
 	siteSeen []bool // reusable distinct-site marker for the DOP histogram
 
-	// Operator ledger (check.OperatorTotals).
-	spawned      uint64
-	completedOps uint64
-	abortedOps   uint64
-	preempted    uint64
-	inFlight     int
-	commits      uint64
-	releases     uint64
-	tableLive    int
-
-	// Deadline-withdrawal ledger (check.DeadlineTotals extension):
-	// dlOpsAborted counts attempts withdrawn by deadline aborts,
-	// dlOpReleases the load-table releases performed while withdrawing —
-	// equal exactly when each withdrawal releases once.
-	dlOpsAborted  uint64
-	dlOpReleases  uint64
+	// dlWithdrawing routes the releases a deadline abort's withdrawals
+	// perform into Ledger.DeadlineOpReleases.
 	dlWithdrawing bool
 
 	// Results surface.
@@ -254,21 +239,6 @@ func (s *System) setupParallel(stream *rng.Stream) error {
 	}
 	s.par = &parallelRuntime{cfg: cfg, gen: gen}
 	return nil
-}
-
-// parTotals implements the closure read by check.NewOperatorConservation.
-func (s *System) parTotals() check.OperatorTotals {
-	p := s.par
-	return check.OperatorTotals{
-		Spawned:   p.spawned,
-		Completed: p.completedOps,
-		Aborted:   p.abortedOps,
-		Preempted: p.preempted,
-		InFlight:  p.inFlight,
-		Commits:   p.commits,
-		Releases:  p.releases,
-		TableLive: p.tableLive,
-	}
 }
 
 // parNumFrags returns the fragment count plans are validated against (0
@@ -652,8 +622,8 @@ func (s *System) parDispatch(inst *opInstance) {
 // left, the plan collapses.
 func (s *System) parAttemptLost(inst *opInstance, attempt *workload.Query) {
 	rec(attempt).phase = phaseDone
-	s.par.preempted++
-	s.par.inFlight--
+	s.led.OpsPreempted++
+	s.led.OpsInFlight--
 	s.audRetire(s.sched.Now())
 	if attempt == inst.clone {
 		if !s.cloneLost(&inst.hedgeRace) {
@@ -675,8 +645,8 @@ func (s *System) parAttemptLost(inst *opInstance, attempt *workload.Query) {
 func (s *System) parOpDone(inst *opInstance, finisher *workload.Query) {
 	pe := inst.pe
 	rec(finisher).phase = phaseDone
-	s.par.completedOps++
-	s.par.inFlight--
+	s.led.OpsCompleted++
+	s.led.OpsInFlight--
 	s.audRetire(s.sched.Now())
 	s.settleRace(&inst.hedgeRace, finisher)
 	inst.state = instDone
@@ -761,8 +731,8 @@ func (s *System) parPlanFailed(pe *planExec) {
 // parWithdraw aborts every in-flight attempt of a plan exactly once:
 // each dispatched instance's race settles (timer retired, racing clone
 // withdrawn) and its live primary is withdrawn, each withdrawal
-// releasing its load-table commitment. byDeadline routes the
-// withdrawals into the deadline-conservation ledger.
+// releasing its load-table commitment. byDeadline counts the
+// withdrawals and their releases in the ledger's deadline-operator pair.
 func (s *System) parWithdraw(pe *planExec, byDeadline bool) {
 	pe.aborted = true
 	if byDeadline {
@@ -776,12 +746,12 @@ func (s *System) parWithdraw(pe *planExec, byDeadline bool) {
 				continue
 			}
 			if byDeadline && inst.clone != nil {
-				s.par.dlOpsAborted++
+				s.led.DeadlineOpAborts++
 			}
 			s.settleRace(&inst.hedgeRace, inst.primary)
 			if !inst.primaryDead {
 				if byDeadline {
-					s.par.dlOpsAborted++
+					s.led.DeadlineOpAborts++
 				}
 				s.withdraw(inst.primary)
 			}

@@ -203,11 +203,10 @@ func TestParallelStaticPlanConvoy(t *testing.T) {
 
 // TestParallelDeadlineAbortReleasesOnce pins satellite 4's first half:
 // a deadline abort of an operator-split query withdraws every per-site
-// attempt exactly once. The deadline-conservation auditor enforces
-// OpsAborted == OpReleases between every pair of events and the
-// operator auditor enforces commits == releases + live, so a double
-// release or a leak fails the run; here we additionally require that
-// the path actually fired.
+// attempt exactly once. The conservation auditor enforces
+// DeadlineOpAborts == DeadlineOpReleases and commits == releases + live
+// between every pair of events, so a double release or a leak fails the
+// run; here we additionally require that the path actually fired.
 func TestParallelDeadlineAbortReleasesOnce(t *testing.T) {
 	cfg := parallelCfg(policy.LERT, 1, policy.ParallelOperator)
 	cfg.Deadline = DeadlineConfig{Enabled: true, Deadline: 60}
@@ -222,12 +221,12 @@ func TestParallelDeadlineAbortReleasesOnce(t *testing.T) {
 	if r.DeadlineMisses == 0 {
 		t.Fatal("deadline never fired; tighten the budget")
 	}
-	if sys.par.dlOpsAborted == 0 {
+	if sys.led.DeadlineOpAborts == 0 {
 		t.Fatal("no operator attempt was withdrawn by a deadline abort")
 	}
-	if sys.par.dlOpsAborted != sys.par.dlOpReleases {
+	if sys.led.DeadlineOpAborts != sys.led.DeadlineOpReleases {
 		t.Fatalf("%d deadline-aborted operators released %d commitments",
-			sys.par.dlOpsAborted, sys.par.dlOpReleases)
+			sys.led.DeadlineOpAborts, sys.led.DeadlineOpReleases)
 	}
 	if r.OperatorsAborted == 0 {
 		t.Fatal("aborted-operator counter never moved")
@@ -237,8 +236,9 @@ func TestParallelDeadlineAbortReleasesOnce(t *testing.T) {
 // TestParallelHedgedOperatorNoDoubleCount pins satellite 4's second
 // half: operator hedge clones win and lose without double counting.
 // The clones share the query-level hedge ledger, so the auditor's
-// launched == wins + cancelled + racing identity holds at every event;
-// the operator auditor rules out a loser being released twice.
+// launched == wins + cancelled + racing identity holds at every event,
+// and its commit/release identity rules out a loser being released
+// twice.
 func TestParallelHedgedOperatorNoDoubleCount(t *testing.T) {
 	cfg := parallelCfg(policy.LERT, 0.8, policy.ParallelOperator)
 	cfg.Hedge = HedgeConfig{Enabled: true, Quantile: 0.5, MinDelay: 5}
@@ -254,11 +254,12 @@ func TestParallelHedgedOperatorNoDoubleCount(t *testing.T) {
 	if r.Hedged == 0 {
 		t.Fatal("no operator hedge clone launched; loosen the trigger")
 	}
-	if got := sys.hedge.wins + sys.hedge.cancelled + uint64(sys.hedge.activeClones); sys.hedge.launched != got {
-		t.Fatalf("hedge ledger unbalanced: %d launched, %d settled", sys.hedge.launched, got)
+	l := sys.led
+	if got := l.HedgeWins + l.HedgeCancelled + uint64(l.Racing); l.Hedges != got {
+		t.Fatalf("hedge ledger unbalanced: %d launched, %d settled", l.Hedges, got)
 	}
-	if sys.par.tableLive < 0 {
-		t.Fatalf("negative live commitments %d (double release)", sys.par.tableLive)
+	if l.TableLive < 0 {
+		t.Fatalf("negative live commitments %d (double release)", l.TableLive)
 	}
 }
 

@@ -287,11 +287,11 @@ func (s *System) replScanTick() {
 
 // replState feeds the replication-conservation auditor, memoized on the
 // manager's mutation counter so per-event checks stay O(1).
-func (s *System) replState() check.ReplicationState {
+func (s *System) replState() *check.ReplicationState {
 	r := s.repl
 	mut := r.mgr.Mutations() + r.badExec
 	if r.cachedValid && mut == r.cachedState.Mutations {
-		return r.cachedState
+		return &r.cachedState
 	}
 	a := r.mgr.Audit()
 	r.cachedState = check.ReplicationState{
@@ -309,7 +309,7 @@ func (s *System) replState() check.ReplicationState {
 		BadExec:      r.badExec,
 	}
 	r.cachedValid = true
-	return r.cachedState
+	return &r.cachedState
 }
 
 // fragAvail tracks each fragment's reachability — the time it spent with

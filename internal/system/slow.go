@@ -1,7 +1,6 @@
 package system
 
 import (
-	"dqalloc/internal/check"
 	"dqalloc/internal/fault"
 	"dqalloc/internal/loadinfo"
 	"dqalloc/internal/rng"
@@ -39,19 +38,6 @@ type suspicionRuntime struct {
 	// suspectTransfers counts measured allocations that moved a query
 	// off its suspect home site — the detector's routing interventions.
 	suspectTransfers uint64
-}
-
-// totals implements the closure read by check.NewSlowFaultConservation.
-func (sr *slowRuntime) totals() check.SlowTotals {
-	t := sr.inj.Totals()
-	return check.SlowTotals{
-		Episodes:       t.Episodes,
-		Recoveries:     t.Recoveries,
-		Degraded:       t.Degraded,
-		Brownouts:      t.Brownouts,
-		BrownoutEnds:   t.BrownoutEnds,
-		BrownoutActive: t.BrownoutActive,
-	}
 }
 
 // setupSlow builds the fail-slow runtime during New. stream must be the

@@ -58,6 +58,10 @@ type System struct {
 
 	aud    *check.Set // runtime invariant auditors, nil when auditing is off
 	audErr error      // first violation, latched at collect
+	// led is the query-lifecycle ledger: every fault, admission,
+	// deadline, hedge and operator transition bumps it in place, Results
+	// reads it, and the conservation auditor checks its identities.
+	led check.Ledger
 
 	faults   *faultRuntime // fault-injection state, nil when disabled
 	rejected uint64        // queries given up on (no allowed site / retries exhausted / shed)
@@ -75,10 +79,9 @@ type System struct {
 	estReadsErr stats.Welford
 	estCPUErr   stats.Welford
 
-	arr     *arrivalRuntime  // open-arrival sources, nil in closed mode
-	dl      *deadlineRuntime // per-query deadlines, nil when disabled
-	hedge   *hedgeRuntime    // hedged execution, nil when disabled
-	aborted uint64           // queries withdrawn by a deadline abort
+	arr   *arrivalRuntime // open-arrival sources, nil in closed mode
+	dl    *DeadlineConfig // per-query deadlines, nil when disabled
+	hedge *HedgeConfig    // hedged execution, nil when disabled
 
 	par *parallelRuntime // operator-tree queries, nil when disabled
 
@@ -228,10 +231,10 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 	if cfg.Deadline.Enabled {
-		s.dl = &deadlineRuntime{cfg: cfg.Deadline}
+		s.dl = &s.cfg.Deadline
 	}
 	if cfg.Hedge.Enabled {
-		s.hedge = &hedgeRuntime{cfg: cfg.Hedge}
+		s.hedge = &s.cfg.Hedge
 	}
 	if cfg.Parallel.Enabled {
 		// Child 12 is the plan sampler's dedicated stream, so runs
@@ -252,30 +255,19 @@ func New(cfg Config) (*System, error) {
 		if cfg.Arrival.Enabled || cfg.Hedge.Enabled || cfg.Parallel.Enabled {
 			capacity = 0
 		}
+		var slow check.SlowLedger
+		if s.slow != nil {
+			slow = s.slow.inj
+		}
 		auditors := []check.Auditor{
-			check.NewConservation(capacity, s.table.Total, s.siteCounts),
+			check.NewConservation(capacity, &s.led, slow, s.table.Total, s.siteCounts),
 			check.NewUtilization(),
 			check.NewLittlesLaw(),
 			check.NewMonotonicity(),
 			check.NewRingConservation(s.ring),
 		}
-		if s.faults != nil {
-			auditors = append(auditors, check.NewFaultConservation(capacity, s.faults.totals))
-		}
-		if s.slow != nil {
-			auditors = append(auditors, check.NewSlowFaultConservation(cfg.NumSites, s.slow.totals))
-		}
-		if s.adm != nil {
-			auditors = append(auditors, check.NewAdmissionConservation(capacity, s.adm.totals))
-		}
-		if s.dl != nil || s.hedge != nil {
-			auditors = append(auditors, check.NewDeadlineConservation(s.overloadTotals))
-		}
 		if s.repl != nil {
 			auditors = append(auditors, check.NewReplicationConservation(s.replState))
-		}
-		if s.par != nil {
-			auditors = append(auditors, check.NewOperatorConservation(s.parTotals))
 		}
 		s.aud = check.NewSet(auditors...)
 		s.sched.Observe(s.aud.EventFired)
@@ -519,7 +511,7 @@ func (s *System) complete(q *workload.Query) {
 		key := rec(s.hedgeResolve(q))
 		s.faultRetire(key)
 		if s.deadlineRetire(key) {
-			s.dl.met++
+			s.led.Met++
 		}
 		key.phase = phaseDone
 	}
@@ -621,24 +613,23 @@ func (s *System) collect(end float64) Results {
 	r.EstCPUErr = s.estCPUErr.Mean()
 	r.RespQuantiles = s.allRespHist.Summary()
 	r.OpenArrivals = s.openArrivals()
-	r.QueriesAborted = s.aborted
-	if s.dl != nil {
-		r.DeadlineMet = s.dl.met
-		r.DeadlineMisses = s.dl.missed
-	}
-	if s.hedge != nil {
-		r.Hedged = s.hedge.launched
-		r.HedgeWins = s.hedge.wins
-	}
-	if s.adm != nil {
-		r.QueriesShed = s.adm.shed
-		r.QueriesDeferred = s.adm.deferred
-	}
+	// Every deadline miss aborts its query.
+	r.QueriesAborted = s.led.Missed
+	r.DeadlineMet = s.led.Met
+	r.DeadlineMisses = s.led.Missed
+	r.Hedged = s.led.Hedges
+	r.HedgeWins = s.led.HedgeWins
+	r.QueriesShed = s.led.Shed
+	r.QueriesDeferred = s.led.Deferred
+	r.QueriesLost = s.led.Lost
+	r.QueriesRetried = s.led.Retried
+	r.Operators = s.led.Ops
+	r.OperatorsCompleted = s.led.OpsCompleted
+	r.OperatorsAborted = s.led.OpsAborted
+	r.OperatorsPreempted = s.led.OpsPreempted
 	r.Availability = 1
 	r.AvailResponse = r.MeanResponse
 	if s.faults != nil {
-		r.QueriesLost = s.faults.lost
-		r.QueriesRetried = s.faults.retried
 		r.SiteCrashes = s.faults.inj.Crashes()
 		r.Downtime = make([]float64, len(s.sites))
 		var down float64
@@ -684,10 +675,6 @@ func (s *System) collect(end float64) Results {
 		r.NoReplicaRejects = s.repl.noReplica
 	}
 	if s.par != nil {
-		r.Operators = s.par.spawned
-		r.OperatorsCompleted = s.par.completedOps
-		r.OperatorsAborted = s.par.abortedOps
-		r.OperatorsPreempted = s.par.preempted
 		r.ParallelQueries = s.par.parallelQueries
 		if s.par.parallelQueries > 0 {
 			r.DOPHist = s.par.dopHist

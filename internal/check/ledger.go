@@ -54,6 +54,15 @@ type Ledger struct {
 	// and DeadlineOpReleases the commitments those withdrawals released:
 	// exactly one each.
 	DeadlineOpAborts, DeadlineOpReleases uint64
+
+	// QueriesLive, PlansLive and the two Stranded counts census the
+	// lifecycle records the system holds: logical queries admitted with a
+	// record and not yet completed or rejected, multi-operator plans
+	// started and not yet completed or collapsed, and attempt and plan
+	// records already retired but still owed a delivery (a withdrawn
+	// attempt's message or resubmission, a collapsed plan's shipment).
+	QueriesLive, PlansLive          int
+	StrandedAttempts, StrandedPlans int
 }
 
 // balance returns the first identity the ledger breaks, or nil. rejected
@@ -92,6 +101,9 @@ func (l *Ledger) balance(rejected uint64) error {
 	case l.Commits != l.Releases+uint64(l.TableLive):
 		return fmt.Errorf("%d commitments != %d releases + %d live (leak or double release)",
 			l.Commits, l.Releases, l.TableLive)
+	case l.QueriesLive < 0 || l.PlansLive < 0 || l.StrandedAttempts < 0 || l.StrandedPlans < 0:
+		return fmt.Errorf("negative record census: %d queries, %d plans live; %d attempts, %d plans stranded",
+			l.QueriesLive, l.PlansLive, l.StrandedAttempts, l.StrandedPlans)
 	case l.DeadlineOpAborts != l.DeadlineOpReleases:
 		return fmt.Errorf("%d deadline-aborted operators released %d load-table entries (want exactly one each)",
 			l.DeadlineOpAborts, l.DeadlineOpReleases)

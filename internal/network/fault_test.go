@@ -88,3 +88,51 @@ func TestResetStatsKeepsLifetimeDropCounter(t *testing.T) {
 		t.Errorf("lifetime drop counter %d after reset, want 1", r.TotalDropped())
 	}
 }
+
+// TestRingHandleGetsArgAndFate pins the bound-handler form: Handle runs
+// once per message with its Arg, told whether the message dropped.
+func TestRingHandleGetsArgAndFate(t *testing.T) {
+	s := sim.New()
+	r := NewRing(s, 2, 1)
+	fates := []bool{false, true, false}
+	i := 0
+	r.SetFault(func() (bool, float64) { d := fates[i]; i++; return d, 0 })
+	type got struct {
+		arg     int
+		dropped bool
+	}
+	var seen []got
+	handle := func(arg any, dropped bool) { seen = append(seen, got{*arg.(*int), dropped}) }
+	args := []int{10, 11, 12}
+	s.At(0, func() {
+		for j := range args {
+			r.Send(Message{From: 0, To: 1, Size: 1, Handle: handle, Arg: &args[j]})
+		}
+	})
+	s.Run()
+	want := []got{{10, false}, {11, true}, {12, false}}
+	if len(seen) != len(want) {
+		t.Fatalf("handler saw %v, want %v", seen, want)
+	}
+	for j := range want {
+		if seen[j] != want[j] {
+			t.Fatalf("handler saw %v, want %v", seen, want)
+		}
+	}
+}
+
+func TestRingSendNeedsOneCallbackForm(t *testing.T) {
+	for _, m := range []Message{
+		{From: 0, To: 1},
+		{From: 0, To: 1, OnDeliver: func() {}, Handle: func(any, bool) {}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Send accepted %+v", m)
+				}
+			}()
+			NewRing(sim.New(), 2, 1).Send(m)
+		}()
+	}
+}

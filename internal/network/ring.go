@@ -17,13 +17,20 @@ type Message struct {
 	To   int     // receiving site
 	Size float64 // message length in bytes
 
-	// OnDeliver runs at the instant the transmission completes. It must
-	// not be nil.
+	// OnDeliver runs at the instant the transmission completes. Exactly
+	// one of OnDeliver and Handle must be set.
 	OnDeliver func()
 	// OnDrop runs instead of OnDeliver when the lossy-network extension
 	// (SetFault) drops the message. nil means the drop is only counted —
 	// acceptable for messages whose loss nobody must recover from.
 	OnDrop func()
+
+	// Handle, when set, replaces OnDeliver and OnDrop: it runs with Arg
+	// and dropped false on delivery, or dropped true on a drop. A sender
+	// binds its handler once and passes the carried record in Arg, so
+	// sending allocates no closure per message.
+	Handle func(arg any, dropped bool)
+	Arg    any
 
 	// Kind tags the transmission-complete event in the trace digest; the
 	// zero value means EventKindTransmit (an ordinary query/result
@@ -125,8 +132,8 @@ func (r *Ring) SetStretch(fn func() float64) { r.stretch = fn }
 // Send places a message in the sender's outgoing queue. Delivery happens
 // after the ring polls the sender and transmits the message.
 func (r *Ring) Send(m Message) {
-	if m.OnDeliver == nil {
-		panic("network: message without OnDeliver")
+	if (m.OnDeliver == nil) == (m.Handle == nil) {
+		panic("network: message needs exactly one of OnDeliver and Handle")
 	}
 	if m.From < 0 || m.From >= len(r.queues) || m.To < 0 || m.To >= len(r.queues) {
 		panic("network: message endpoint out of range")
@@ -265,6 +272,10 @@ func (r *Ring) complete() {
 	// Resume polling before delivering so that a delivery action that
 	// immediately sends again observes a consistent ring state.
 	r.poll()
+	if m.Handle != nil {
+		m.Handle(m.Arg, false)
+		return
+	}
 	m.OnDeliver()
 }
 
@@ -281,7 +292,10 @@ func (r *Ring) drop() {
 	r.busy = false
 	r.util.Set(now, 0)
 	r.poll()
-	if m.OnDrop != nil {
+	switch {
+	case m.Handle != nil:
+		m.Handle(m.Arg, true)
+	case m.OnDrop != nil:
 		m.OnDrop()
 	}
 }

@@ -108,7 +108,8 @@ type Policy interface {
 	// Name returns the policy's short name as used in the paper's tables.
 	Name() string
 	// Select returns the chosen execution site for q, which arrived at
-	// site arrival.
+	// site arrival. It must not keep q past the call: the system pools
+	// its queries, and a kept pointer would later read another query.
 	Select(q *workload.Query, arrival int, env *Env) int
 }
 

@@ -31,7 +31,11 @@ type FCFS[T any] struct {
 	// closure per service.
 	finishFn sim.Action
 
+	// queue[head:] are the jobs present, the one in service first. A
+	// completion advances head instead of shifting the queue; Enqueue
+	// reclaims the dead prefix queue[:head] (see compact).
 	queue  []fcfsEntry[T]
+	head   int
 	busy   bool
 	next   sim.Handle // pending service-completion event
 	util   stats.TimeWeighted
@@ -98,8 +102,9 @@ func (f *FCFS[T]) Enqueue(job T, service float64) {
 		panic("queue: negative service time")
 	}
 	now := f.sched.Now()
+	f.compact()
 	f.queue = append(f.queue, fcfsEntry[T]{job: job, service: service})
-	f.qlen.Set(now, float64(len(f.queue)))
+	f.qlen.Set(now, float64(f.QueueLen()))
 	if !f.busy {
 		f.startNext()
 	}
@@ -107,7 +112,7 @@ func (f *FCFS[T]) Enqueue(job T, service float64) {
 
 // QueueLen returns the number of jobs present, including the one in
 // service.
-func (f *FCFS[T]) QueueLen() int { return len(f.queue) }
+func (f *FCFS[T]) QueueLen() int { return len(f.queue) - f.head }
 
 // Busy reports whether a job is in service.
 func (f *FCFS[T]) Busy() bool { return f.busy }
@@ -140,12 +145,14 @@ func (f *FCFS[T]) Drain() []T {
 	now := f.sched.Now()
 	f.sched.Cancel(f.next)
 	f.next = sim.Handle{}
-	out := make([]T, len(f.queue))
-	for i := range f.queue {
-		out[i] = f.queue[i].job
-		f.queue[i] = fcfsEntry[T]{}
+	live := f.queue[f.head:]
+	out := make([]T, len(live))
+	for i := range live {
+		out[i] = live[i].job
 	}
+	clear(live)
 	f.queue = f.queue[:0]
+	f.head = 0
 	f.busy = false
 	f.qlen.Set(now, 0)
 	f.util.Set(now, 0)
@@ -160,23 +167,25 @@ func (f *FCFS[T]) Drain() []T {
 // This is the deadline-abort / hedge-cancellation primitive.
 func (f *FCFS[T]) RemoveFunc(match func(T) bool) (T, bool) {
 	var zero T
-	for i := range f.queue {
+	for i := f.head; i < len(f.queue); i++ {
 		if !match(f.queue[i].job) {
 			continue
 		}
 		job := f.queue[i].job
 		now := f.sched.Now()
-		inService := i == 0 && f.busy
+		inService := i == f.head && f.busy
 		if inService {
 			f.sched.Cancel(f.next)
 			f.next = sim.Handle{}
+			f.popHead()
+		} else {
+			copy(f.queue[i:], f.queue[i+1:])
+			f.queue[len(f.queue)-1] = fcfsEntry[T]{}
+			f.queue = f.queue[:len(f.queue)-1]
 		}
-		copy(f.queue[i:], f.queue[i+1:])
-		f.queue[len(f.queue)-1] = fcfsEntry[T]{}
-		f.queue = f.queue[:len(f.queue)-1]
-		f.qlen.Set(now, float64(len(f.queue)))
+		f.qlen.Set(now, float64(f.QueueLen()))
 		if inService {
-			if len(f.queue) > 0 {
+			if f.QueueLen() > 0 {
 				f.startNext()
 			} else {
 				f.busy = false
@@ -192,7 +201,7 @@ func (f *FCFS[T]) startNext() {
 	now := f.sched.Now()
 	f.busy = true
 	f.util.Set(now, 1)
-	head := f.queue[0]
+	head := f.queue[f.head]
 	f.remaining = head.service
 	f.rateSince = now
 	f.next = f.sched.After(head.service/f.rate, f.finishFn)
@@ -202,17 +211,43 @@ func (f *FCFS[T]) startNext() {
 func (f *FCFS[T]) finish() {
 	now := f.sched.Now()
 	f.next = sim.Handle{}
-	head := f.queue[0]
-	copy(f.queue, f.queue[1:])
-	f.queue[len(f.queue)-1] = fcfsEntry[T]{}
-	f.queue = f.queue[:len(f.queue)-1]
-	f.qlen.Set(now, float64(len(f.queue)))
+	head := f.popHead()
+	f.qlen.Set(now, float64(f.QueueLen()))
 	f.served++
-	if len(f.queue) > 0 {
+	if f.QueueLen() > 0 {
 		f.startNext()
 	} else {
 		f.busy = false
 		f.util.Set(now, 0)
 	}
 	f.done(head.job)
+}
+
+// popHead removes and returns the job at the front of the queue. The
+// vacated slot is cleared so the queue retains no finished job, and an
+// emptied queue restarts at the front of its slice.
+func (f *FCFS[T]) popHead() fcfsEntry[T] {
+	e := f.queue[f.head]
+	f.queue[f.head] = fcfsEntry[T]{}
+	if f.head++; f.head == len(f.queue) {
+		f.queue = f.queue[:0]
+		f.head = 0
+	}
+	return e
+}
+
+// compact makes room for an arrival in a full slice whose prefix is at
+// least half dead by moving the live jobs to its front; otherwise append
+// grows the slice. Each move of k jobs follows at least k completions,
+// so a completion costs O(1) amortized, and the slice stays within a
+// small factor of the peak queue length.
+func (f *FCFS[T]) compact() {
+	n := len(f.queue)
+	if n < cap(f.queue) || 2*f.head < n {
+		return
+	}
+	live := copy(f.queue, f.queue[f.head:])
+	clear(f.queue[live:])
+	f.queue = f.queue[:live]
+	f.head = 0
 }

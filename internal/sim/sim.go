@@ -268,7 +268,9 @@ func (s *Scheduler) Digest() uint64 {
 // Observe registers fn to be called for every fired event, immediately
 // before its action runs. Pass nil to remove the observer. The observer
 // must not schedule or cancel events, and must not retain the *Event
-// beyond the call — the record is pooled and will be reused.
+// beyond the call — the record is pooled and will be reused. Nor may it
+// keep anything it reaches through the event, such as a
+// *workload.Query of the model: the system pools those records too.
 func (s *Scheduler) Observe(fn func(e *Event)) {
 	s.observer = fn
 	s.hooked = s.digestOn || fn != nil

@@ -71,6 +71,8 @@ type Config struct {
 	// of the query (it is migrating away); the site then forgets it.
 	// This is the attachment point for the paper's future-work idea of
 	// moving partially executed queries "between primitive operations".
+	// Like a policy, the hook must not keep q past the call: the system
+	// pools its queries.
 	CycleHook func(q *workload.Query) bool
 }
 

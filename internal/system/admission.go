@@ -95,7 +95,16 @@ func (s *System) admissionBounce(q *workload.Query) {
 		setPhase(q, phaseDeferred)
 		s.led.Deferred++
 		s.led.Waiting++
-		ev := s.sched.After(ar.stream.Exp(ar.cfg.DeferDelay), func() { s.resubmit(q) })
+		// A tracked query's resubmission is bound to its record and owed
+		// to it; an untracked run has no record to bind to.
+		var resubmit func()
+		if a := rec(q); a != nil {
+			resubmit = a.fns.resubmit
+			s.hold(a)
+		} else {
+			resubmit = func() { s.resubmit(q) }
+		}
+		ev := s.sched.After(ar.stream.Exp(ar.cfg.DeferDelay), resubmit)
 		ev.SetKind(eventKindDefer)
 		return
 	}
@@ -107,10 +116,11 @@ func (s *System) admissionBounce(q *workload.Query) {
 // policy runs again over the (possibly changed) load view, and admission
 // applies again at whichever site it now picks.
 func (s *System) resubmit(q *workload.Query) {
-	if withdrawn(q) {
-		return // withdrawn by a deadline abort while parked
+	a := live(q)
+	if !withdrawn(q) { // else withdrawn by a deadline abort while parked
+		s.led.Waiting--
+		s.led.Resubmitted++
+		s.allocate(q)
 	}
-	s.led.Waiting--
-	s.led.Resubmitted++
-	s.allocate(q)
+	s.settle(a)
 }

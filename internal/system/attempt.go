@@ -10,12 +10,17 @@ import (
 // This file is the query-attempt lifecycle shared by every carrier the
 // system executes — a monolithic query, a hedge clone, an operator
 // carrier, or an operator clone (see DESIGN.md, "Query-attempt
-// lifecycle"). Each carrier's lifecycle state lives in one attempt
-// record reached through workload.Query.Attempt, and every carrier is
+// lifecycle"). Each carrier is the query embedded in its attempt record,
+// reached back through workload.Query.Attempt, and every carrier is
 // committed, shipped, landed, lost and withdrawn by the same functions
-// below. No record is allocated when deadlines, hedging, faults and
-// operator trees are all off: nothing then reads a phase, so those runs
-// pay only a nil interface check.
+// below. Records are pooled (pool.go): a logical query or hedge clone
+// takes one attempt record, an operator carrier lives inside its
+// operator instance, and each record's timer callbacks are bound once
+// when it is first allocated. Ring messages carry the query itself to
+// handlers the System binds once, so no path here allocates a closure.
+// No record exists when deadlines, hedging, faults and operator trees are
+// all off: nothing then reads a phase, so those runs pay only a nil
+// interface check.
 
 // Attempt lifecycle phases. The zero value phaseNone means "not yet
 // dispatched".
@@ -32,16 +37,26 @@ const (
 	phaseLost
 	// phaseDone: completed, rejected, or withdrawn; nothing in flight.
 	phaseDone
+	// phaseFree: the record is back on its free list; a delivery finding
+	// this phase was never counted (see live).
+	phaseFree
 )
 
-// attempt is the lifecycle record of one carrier.
+// attempt is the lifecycle record of one carrier, and the carrier itself.
 type attempt struct {
+	// q is the carrier; q.Attempt points back at this record.
+	q workload.Query
+
 	phase int8
 	// defunct marks an attempt withdrawn while a delivery for it (query
 	// descriptor, result pages, fragment fetch, or admission
 	// resubmission) was pending; that delivery consumes the bit and
 	// drops the attempt.
 	defunct bool
+	// drained marks an attempt a crash took off its site whose loss the
+	// crash loop has not settled yet: withdrawn meanwhile, it is at no
+	// site but owes no delivery either.
+	drained bool
 	// spawned marks a clone or operator carrier: an attempt that joined
 	// the audited population itself, so its withdrawal retires it there.
 	spawned bool
@@ -61,10 +76,30 @@ type attempt struct {
 
 	// race is the hedge race this attempt runs in, as primary or clone.
 	race *hedgeRace
+	// own is the race this record hosts as a primary; race points at it
+	// once the attempt is hedged.
+	own hedgeRace
 	// inst is the operator instance an operator carrier executes; plan
 	// the execution state of a multi-operator logical query.
 	inst *opInstance
 	plan *planExec
+
+	// pending counts the deliveries still owed to this record: ring
+	// messages carrying it and an admission resubmission. ended marks
+	// the record retired; it is freed when both say so. A plan carrier
+	// (owner non-nil) lives inside its instance, so its deliveries are
+	// owed to the plan instead.
+	pending int32
+	ended   bool
+	owner   *planExec
+
+	fns attemptFns
+}
+
+// attemptFns are an attempt record's timer callbacks, bound to it once
+// when the record is first allocated.
+type attemptFns struct {
+	deadline, timeout, retry, resubmit func()
 }
 
 // hedgeRace is one primary/clone hedge race, of a monolithic query or of an
@@ -79,6 +114,8 @@ type hedgeRace struct {
 	// primaryDead marks a primary destroyed by a fault while its clone
 	// raced on: the clone alone carries the work.
 	primaryDead bool
+	// fire launches the clone; bound once to the record hosting the race.
+	fire func()
 }
 
 // rec returns q's lifecycle record, nil when no lifecycle subsystem is on.
@@ -169,41 +206,84 @@ func (s *System) enter(q *workload.Query, exec int) {
 // ships its descriptor to its site, anything else lands in place.
 func (s *System) start(q *workload.Query) {
 	if q.Exec != q.Home && rec(q).scans() {
-		s.ship(q, q.Home, q.Exec, s.cfg.Classes[q.Class].MsgLength)
+		s.ship(q, q.Home, s.cfg.Classes[q.Class].MsgLength)
 		return
 	}
-	s.land(q, q.Exec)
+	s.land(q)
 }
 
 // ship is the one path that moves an attempt over the ring — a query
-// descriptor, a clone, a scan carrier, or a migrating query's state. The
-// transmission is charged to q; delivery lands q at to, and with faults
-// on a drop loses it.
-func (s *System) ship(q *workload.Query, from, to int, size float64) {
+// descriptor, a clone, a scan carrier, or a migrating query's state — to
+// its committed site q.Exec. The transmission is charged to q; delivery
+// lands q there, and a drop loses it.
+func (s *System) ship(q *workload.Query, from int, size float64) {
 	s.charge(q, size)
-	m := network.Message{From: from, To: to, Size: size, OnDeliver: func() { s.land(q, to) }}
-	if s.faults != nil {
-		m.OnDrop = func() { s.dropped(q) }
+	s.send(q, network.Message{From: from, To: q.Exec, Size: size, Handle: s.shipFn})
+}
+
+// send puts a message carrying attempt q on the ring, counting the
+// delivery owed to q's record.
+func (s *System) send(q *workload.Query, m network.Message) {
+	if a := rec(q); a != nil {
+		s.hold(a)
 	}
+	m.Arg = q
 	s.ring.Send(m)
 }
 
-// land is the one landing check: an attempt withdrawn in transit is
-// dropped, a dead destination loses it, and under the replica manager a
-// site without the fragment either fetches it (a degraded allocation) or
-// — when a crash wiped the copy while q travelled — loses it. Any other
-// missing-fragment execution is an allocator bug the auditor flags.
-func (s *System) land(q *workload.Query, site int) {
+// bindHandlers binds the ring handlers of attempt and plan messages
+// once per run.
+func (s *System) bindHandlers() {
+	s.shipFn = s.onShip
+	s.resultFn = s.onResult
+	s.fetchFn = s.onFetch
+	s.planDataFn = s.onPlanData
+}
+
+// delivered returns the attempt a message carried and its record, which
+// must still be held (see live).
+func delivered(arg any) (*workload.Query, *attempt) {
+	q := arg.(*workload.Query)
+	return q, live(q)
+}
+
+// settle settles the delivery owed to a's record, if q had one.
+func (s *System) settle(a *attempt) {
+	if a != nil {
+		s.unhold(a)
+	}
+}
+
+// onShip is the delivery of a shipped attempt: it lands at its site, or
+// is lost when the message dropped.
+func (s *System) onShip(arg any, dropped bool) {
+	q, a := delivered(arg)
+	if dropped {
+		s.dropped(q)
+	} else {
+		s.land(q)
+	}
+	s.settle(a)
+}
+
+// land is the one landing check at q's committed site q.Exec: an
+// attempt withdrawn in transit is dropped, a dead destination loses it,
+// and under the replica manager a site without the fragment either
+// fetches it (a degraded allocation) or — when a crash wiped the copy
+// while q travelled — loses it. Any other missing-fragment execution is
+// an allocator bug the auditor flags.
+func (s *System) land(q *workload.Query) {
 	if withdrawn(q) {
 		return
 	}
+	site := q.Exec
 	if !s.up(site) {
 		s.lose(q)
 		return
 	}
 	if r := s.repl; r != nil && rec(q).scans() && !r.mgr.Holds(site, q.Object) {
 		if q.Degraded {
-			s.replFetch(q, site)
+			s.replFetch(q)
 			return
 		}
 		if s.faults != nil {
@@ -255,7 +335,7 @@ func (s *System) withdraw(q *workload.Query) {
 	a := rec(q)
 	switch a.phase {
 	case phaseCommitted:
-		if !s.sites[q.Exec].Abort(q) {
+		if !a.drained && !s.sites[q.Exec].Abort(q) {
 			a.defunct = true
 		}
 		s.release(q)
@@ -279,7 +359,7 @@ func (s *System) withdraw(q *workload.Query) {
 
 // armHedge starts r's launch timer at the primary's class hedge delay.
 func (s *System) armHedge(r *hedgeRace) {
-	r.timer = s.sched.After(s.hedgeDelay(r.primary.Class), func() { s.hedgeFire(r) })
+	r.timer = s.sched.After(s.hedgeDelay(r.primary.Class), r.fire)
 	r.timer.SetKind(eventKindHedge)
 }
 
@@ -296,7 +376,10 @@ func (s *System) hedgeFire(r *hedgeRace) {
 	if exec == policy.NoSite {
 		return
 	}
-	c := &workload.Query{
+	ca := s.newAttempt()
+	ca.race, ca.inst, ca.spawned = r, rec(p).inst, true
+	c := &ca.q
+	*c = workload.Query{
 		ID:         p.ID,
 		Class:      p.Class,
 		Home:       p.Home,
@@ -306,7 +389,7 @@ func (s *System) hedgeFire(r *hedgeRace) {
 		EstPageCPU: p.EstPageCPU,
 		PageCPU:    p.PageCPU,
 		SubmitTime: p.SubmitTime,
-		Attempt:    &attempt{race: r, inst: rec(p).inst, spawned: true},
+		Attempt:    ca,
 	}
 	r.clone = c
 	s.led.Hedges++
@@ -338,7 +421,9 @@ func (s *System) hedgeSite(p *workload.Query) int {
 // settleRace resolves r when winner finished (or, for a deadline abort
 // or plan collapse, is being withdrawn with the primary): the launch
 // timer is retired and a live loser withdrawn — the primary when the
-// clone won (a hedge win), the clone otherwise (a cancelled hedge).
+// clone won (a hedge win), the clone otherwise (a cancelled hedge). A
+// withdrawn clone's record retires here; a winning clone's retires with
+// the completion that finished it.
 func (s *System) settleRace(r *hedgeRace, winner *workload.Query) {
 	s.sched.Cancel(r.timer)
 	if c := r.clone; c != nil {
@@ -353,11 +438,13 @@ func (s *System) settleRace(r *hedgeRace, winner *workload.Query) {
 		}
 		s.led.HedgeCancelled++
 		s.withdraw(c)
+		s.endAttempt(rec(c))
 	}
 }
 
-// cloneLost retires r's clone destroyed by a fault, reporting whether
-// the primary is dead too, leaving nothing to carry the work.
+// cloneLost retires r's clone destroyed by a fault from the race,
+// reporting whether the primary is dead too, leaving nothing to carry
+// the work. The caller retires the clone's record when done with it.
 func (s *System) cloneLost(r *hedgeRace) bool {
 	r.clone = nil
 	s.led.Racing--

@@ -90,14 +90,26 @@ func (s *System) up(site int) bool {
 // commitment is released and its loss recorded; the watchdog will
 // re-allocate it.
 func (s *System) onSiteCrash(site int) {
-	for _, q := range s.sites[site].Crash() {
-		if rec(q).phase == phaseDone {
-			// A sibling carrier's loss already collapsed its plan and
-			// withdrew this (also-drained) carrier; nothing remains to
-			// release.
-			continue
+	drained := s.sites[site].Crash()
+	// Mark and hold every drained attempt before settling any loss: one
+	// loss can collapse a plan and withdraw a sibling carrier drained
+	// here, which is at no site yet owes no delivery (so it must not turn
+	// defunct), and whose plan must not be freed before the loop is done
+	// with it.
+	for _, q := range drained {
+		a := rec(q)
+		a.drained = true
+		s.hold(a)
+	}
+	for _, q := range drained {
+		a := rec(q)
+		a.drained = false
+		// A sibling carrier's loss may already have collapsed the plan and
+		// withdrawn this one; nothing then remains to release.
+		if a.phase != phaseDone {
+			s.lose(q)
 		}
-		s.lose(q)
+		s.unhold(a)
 	}
 	if s.repl != nil {
 		// The crash wipes the site's fragment copies (except last copies,
@@ -131,7 +143,7 @@ func (s *System) faultArm(q *workload.Query) {
 // armWatchdog (re)schedules the detection timer.
 func (s *System) armWatchdog(q *workload.Query) {
 	a := rec(q)
-	a.watchdog = s.sched.After(s.faults.cfg.DetectTimeout, func() { s.faultTimeout(q) })
+	a.watchdog = s.sched.After(s.faults.cfg.DetectTimeout, a.fns.timeout)
 	a.watchdog.SetKind(eventKindTimeout)
 }
 
@@ -164,6 +176,7 @@ func (s *System) faultLost(q *workload.Query) {
 		if dead {
 			s.rejectQuery(r.primary)
 		}
+		s.endAttempt(a)
 		return
 	}
 	if !a.watched || a.lost {
@@ -208,7 +221,7 @@ func (s *System) faultRetryOrAbandon(q *workload.Query) {
 		return
 	}
 	backoff := s.faults.cfg.RetryBackoff * math.Pow(2, float64(a.retries-1))
-	a.watchdog = s.sched.After(backoff, func() { s.faultRedispatch(q) })
+	a.watchdog = s.sched.After(backoff, a.fns.retry)
 	a.watchdog.SetKind(eventKindRetry)
 }
 
@@ -258,4 +271,5 @@ func (s *System) rejectQuery(q *workload.Query) {
 	if s.arr == nil {
 		s.startThink(q.Home)
 	}
+	s.endQuery(q)
 }

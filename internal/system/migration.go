@@ -116,7 +116,7 @@ func (s *System) maybeMigrate(q *workload.Query) bool {
 	s.commit(q, best)
 	q.Migrations++
 	s.migrations++
-	s.ship(q, from, best, migSize)
+	s.ship(q, from, migSize)
 	return true
 }
 

@@ -123,7 +123,7 @@ func (s *System) setupArrivals(astream *rng.Stream) error {
 		class := c
 		src, err := arrival.NewSource(s.sched, s.cfg.Arrival, rate, s.cfg.NumSites,
 			astream.Child(uint64(c+1)),
-			func(home int) { s.admit(s.gen.NewOfClass(class, home, s.sched.Now())) })
+			func(home int) { s.admit(s.newQuery(class, home)) })
 		if err != nil {
 			return err
 		}
@@ -169,7 +169,7 @@ func (s *System) deadlineArm(q *workload.Query) {
 	if remaining < 0 {
 		remaining = 0
 	}
-	a.deadline = s.sched.After(remaining, func() { s.deadlineExpire(q) })
+	a.deadline = s.sched.After(remaining, a.fns.deadline)
 	a.deadline.SetKind(eventKindDeadline)
 	s.led.Armed++
 	s.led.Pending++
@@ -203,6 +203,7 @@ func (s *System) deadlineExpire(q *workload.Query) {
 		// An operator-split query withdraws every per-site attempt (each
 		// releasing its commitment exactly once) and is then settled.
 		s.parWithdraw(a.plan, true)
+		s.endPlan(a.plan)
 		a.phase = phaseDone
 	}
 	if a.phase != phaseDone {
@@ -215,6 +216,7 @@ func (s *System) deadlineExpire(q *workload.Query) {
 	if s.arr == nil {
 		s.startThink(q.Home)
 	}
+	s.endQuery(q)
 }
 
 // hedgeArm schedules the hedge decision for a newly dispatched remote
@@ -231,7 +233,8 @@ func (s *System) hedgeArm(q *workload.Query) {
 		return
 	}
 	if a := rec(q); a.race == nil {
-		a.race = &hedgeRace{primary: q}
+		a.own.primary = q
+		a.race = &a.own
 		s.armHedge(a.race)
 	}
 }

@@ -172,6 +172,9 @@ type opInstance struct {
 	// hedgeRace holds the primary carrier and, while the operator is
 	// hedged, its racing clone.
 	hedgeRace
+	// carrier is the primary carrier's attempt record; carrier.q is the
+	// query the site engine executes for this instance.
+	carrier attempt
 }
 
 // isScan reports whether the instance executes a scan operator.
@@ -179,10 +182,13 @@ func (in *opInstance) isScan() bool {
 	return in.pe.plan.Ops[in.node].Kind == workload.OpScan
 }
 
-// planExec is the execution state of one multi-operator query.
+// planExec is the execution state of one multi-operator query. It owns
+// its copy of the plan's operators, the plan's parent array and its
+// per-operator instance lists, all reused when the record is.
 type planExec struct {
-	q    *workload.Query
-	plan workload.Plan
+	q      *workload.Query
+	plan   workload.Plan
+	parent []int
 	// insts[node] are the placed instances of each operator.
 	insts [][]*opInstance
 	// rootRemaining counts root-instance results not yet delivered home.
@@ -194,6 +200,13 @@ type planExec struct {
 	// aborted latches plan collapse (deadline abort or fault), making
 	// every in-flight callback for the plan a no-op.
 	aborted bool
+
+	// pending counts the deliveries owed to the plan: its intermediate
+	// and result shipments, and its carriers' descriptor and fragment
+	// messages. ended marks the plan retired; it and its instances are
+	// freed when both say so.
+	pending int32
+	ended   bool
 }
 
 // parallelRuntime is the per-run state of the parallel-query subsystem.
@@ -203,6 +216,12 @@ type parallelRuntime struct {
 
 	scratch  []int  // reusable site pool for split placement
 	siteSeen []bool // reusable distinct-site marker for the DOP histogram
+	// ops receives each sampled plan before it is known to need a plan
+	// record; splitSites, repSites and repShares are split-placement
+	// scratch; probe is the scratch carrier a split ranks sites with.
+	ops                            []workload.Operator
+	splitSites, repSites, repShares []int
+	probe                          workload.Query
 
 	// dlWithdrawing routes the releases a deadline abort's withdrawals
 	// perform into Ledger.DeadlineOpReleases.
@@ -254,7 +273,8 @@ func (s *System) parNumFrags() int {
 // sampler draws a plan, single-operator plans take the monolithic path
 // unchanged, and multi-operator plans enter the engine.
 func (s *System) parSubmit(q *workload.Query) {
-	plan := s.par.gen.New(q, s.cfg.Classes[q.Class].NumReads)
+	plan := s.par.gen.NewInto(q, s.cfg.Classes[q.Class].NumReads, s.par.ops)
+	s.par.ops = plan.Ops
 	if len(plan.Ops) == 1 {
 		s.allocate(q)
 		return
@@ -270,8 +290,9 @@ func (s *System) parSubmit(q *workload.Query) {
 // whole — there is no per-operator retry.
 func (s *System) parStart(q *workload.Query, plan workload.Plan) {
 	s.deadlineArm(q)
-	pe := &planExec{q: q, plan: plan, partNode: -1, splitNode: -1}
+	pe := s.newPlan(q, plan)
 	if !s.parPlace(pe) {
+		s.endPlan(pe)
 		s.rejectQuery(q)
 		return
 	}
@@ -317,15 +338,15 @@ func (s *System) parRecordDOP(pe *planExec) {
 	p.dopHist[distinct-1]++
 }
 
-// parCarrier builds the carrier query executing one operator: the
+// parCarrier fills c as the carrier query executing one operator: the
 // site engine and load table see a query with the operator's demands.
 // Scans reference their fragment; non-scans keep the logical query's
 // object (they need no fragment access, but the replication ledger
-// stays balanced).
-func (s *System) parCarrier(pe *planExec, node int) *workload.Query {
-	op := pe.plan.Ops[node]
+// stays balanced). c keeps its Attempt link.
+func (s *System) parCarrier(c *workload.Query, pe *planExec, node int) {
+	op := &pe.plan.Ops[node]
 	q := pe.q
-	c := &workload.Query{
+	*c = workload.Query{
 		ID:         q.ID,
 		Class:      q.Class,
 		Home:       q.Home,
@@ -336,6 +357,7 @@ func (s *System) parCarrier(pe *planExec, node int) *workload.Query {
 		EstPageCPU: op.PageCPU,
 		PageCPU:    op.PageCPU,
 		SubmitTime: q.SubmitTime,
+		Attempt:    c.Attempt,
 	}
 	if op.PageCPU == 0 {
 		c.EstPageCPU = s.cfg.Classes[q.Class].PageCPUTime
@@ -343,7 +365,6 @@ func (s *System) parCarrier(pe *planExec, node int) *workload.Query {
 	if op.Kind == workload.OpScan {
 		c.Object = op.Frag
 	}
-	return c
 }
 
 // selectAmong runs the allocation policy for q over the given candidate
@@ -363,7 +384,6 @@ func (s *System) selectAmong(q *workload.Query, cands []int) int {
 func (s *System) parPlace(pe *planExec) bool {
 	plan := &pe.plan
 	n := len(plan.Ops)
-	pe.insts = make([][]*opInstance, n)
 
 	switch s.par.cfg.Mode {
 	case policy.ParallelSingle:
@@ -424,9 +444,9 @@ func (s *System) parPlace(pe *planExec) bool {
 		}
 	}
 
-	parent := pe.plan.Parent()
+	pe.parent = pe.plan.ParentInto(pe.parent)
 	for node := 0; node < n; node++ {
-		p := parent[node]
+		p := pe.parent[node]
 		if p < 0 {
 			continue
 		}
@@ -449,22 +469,19 @@ func (s *System) parPlace(pe *planExec) bool {
 
 // parInstAt places one unsplit instance of node at a fixed site.
 func (s *System) parInstAt(pe *planExec, node, site int) {
-	pe.insts[node] = []*opInstance{newInst(pe, node, site, s.parCarrier(pe, node), pe.plan.Ops[node].OutBytes)}
-}
-
-// newInst builds one operator instance with carrier c as its primary.
-func newInst(pe *planExec, node, site int, c *workload.Query, outBytes float64) *opInstance {
-	inst := &opInstance{pe: pe, node: node, site: site, outBytes: outBytes}
-	inst.primary = c
-	c.Attempt = &attempt{race: &inst.hedgeRace, inst: inst, spawned: true}
-	return inst
+	inst := s.newInst(pe, node, site, pe.plan.Ops[node].OutBytes)
+	s.parCarrier(inst.primary, pe, node)
 }
 
 // parPlaceOp places one operator via the allocation policy, costing it
 // by its own demands — the multi-resource balanced placement. Scans
-// under a placement are confined to their fragment's holders.
+// under a placement are confined to their fragment's holders. The
+// instance joins the plan before its site is chosen, so a failed
+// placement frees it with the plan.
 func (s *System) parPlaceOp(pe *planExec, node int) bool {
-	c := s.parCarrier(pe, node)
+	inst := s.newInst(pe, node, policy.NoSite, pe.plan.Ops[node].OutBytes)
+	c := inst.primary
+	s.parCarrier(c, pe, node)
 	var cands []int
 	if pe.plan.Ops[node].Kind == workload.OpScan && s.cfg.Placement != nil {
 		cands = s.candidateSites(c)
@@ -472,12 +489,8 @@ func (s *System) parPlaceOp(pe *planExec, node int) bool {
 			return false
 		}
 	}
-	site := s.selectAmong(c, cands)
-	if site == policy.NoSite {
-		return false
-	}
-	pe.insts[node] = []*opInstance{newInst(pe, node, site, c, pe.plan.Ops[node].OutBytes)}
-	return true
+	inst.site = s.selectAmong(c, cands)
+	return inst.site != policy.NoSite
 }
 
 // parPlaceSplit places a fragment-and-replicate split of join: its
@@ -490,7 +503,8 @@ func (s *System) parPlaceSplit(pe *planExec, joinNode int) bool {
 	join := plan.Ops[joinNode]
 	partNode := join.Inputs[0]
 	part := plan.Ops[partNode]
-	partC := s.parCarrier(pe, partNode)
+	partC := &s.par.probe
+	s.parCarrier(partC, pe, partNode)
 
 	// Candidate pool: up sites, holding the fragment under a placement.
 	pool := s.par.scratch[:0]
@@ -550,7 +564,7 @@ func (s *System) parPlaceSplit(pe *planExec, joinNode int) bool {
 	// Pick k distinct sites by repeated policy selection over a
 	// shrinking pool: the straggler-aware ranking chooses the least
 	// loaded holders first.
-	sites := make([]int, 0, k)
+	sites := s.par.splitSites[:0]
 	for len(sites) < k {
 		site := s.selectAmong(partC, pool)
 		if site == policy.NoSite {
@@ -564,36 +578,34 @@ func (s *System) parPlaceSplit(pe *planExec, joinNode int) bool {
 			}
 		}
 	}
+	s.par.splitSites = sites
 	if len(sites) == 0 {
 		return false
 	}
 
 	// The pool was already confined to live holders, so no placement
 	// filter (and no degraded fallback) applies here.
-	rep, err := workload.ExpandFragRep(nil, part.Frag, part.Reads, sites)
+	rep, err := workload.ExpandFragRepInto(nil, part.Frag, part.Reads, sites, s.par.repSites, s.par.repShares)
 	if err != nil || rep.Degraded {
 		return false
 	}
-	k = len(rep.Sites)
-	shares := make([]*opInstance, k)
-	joins := make([]*opInstance, k)
+	s.par.repSites, s.par.repShares = rep.Sites, rep.Shares
 	cfg := s.par.cfg
-	for i := 0; i < k; i++ {
-		sc := s.parCarrier(pe, partNode)
+	// Each share instance is colocated with its join instance: no ring
+	// shipment.
+	for i, site := range rep.Sites {
+		sc := s.newInst(pe, partNode, site, 0).primary
+		s.parCarrier(sc, pe, partNode)
 		sc.ReadsTotal = rep.Shares[i]
 		sc.EstReads = float64(rep.Shares[i])
 		shareOut := workload.ClampPages(cfg.SelScan * float64(rep.Shares[i]))
-		// Colocated with its join instance: no ring shipment.
-		shares[i] = newInst(pe, partNode, rep.Sites[i], sc, 0)
-		jc := s.parCarrier(pe, joinNode)
 		jreads := shareOut + repOut
+		jout := workload.ClampPages(cfg.SelJoin * float64(jreads))
+		jc := s.newInst(pe, joinNode, site, float64(jout)*cfg.ShipBytesPerPage).primary
+		s.parCarrier(jc, pe, joinNode)
 		jc.ReadsTotal = jreads
 		jc.EstReads = float64(jreads)
-		jout := workload.ClampPages(cfg.SelJoin * float64(jreads))
-		joins[i] = newInst(pe, joinNode, rep.Sites[i], jc, float64(jout)*cfg.ShipBytesPerPage)
 	}
-	pe.insts[partNode] = shares
-	pe.insts[joinNode] = joins
 	pe.partNode, pe.splitNode = partNode, joinNode
 	return true
 }
@@ -621,12 +633,15 @@ func (s *System) parDispatch(inst *opInstance) {
 // racing on; a lost primary survives through a live clone; with neither
 // left, the plan collapses.
 func (s *System) parAttemptLost(inst *opInstance, attempt *workload.Query) {
-	rec(attempt).phase = phaseDone
+	a := rec(attempt)
+	a.phase = phaseDone
 	s.led.OpsPreempted++
 	s.led.OpsInFlight--
 	s.audRetire(s.sched.Now())
 	if attempt == inst.clone {
-		if !s.cloneLost(&inst.hedgeRace) {
+		dead := s.cloneLost(&inst.hedgeRace)
+		s.endAttempt(a)
+		if !dead {
 			return
 		}
 	} else if inst.clone != nil {
@@ -660,6 +675,11 @@ func (s *System) parOpDone(inst *opInstance, finisher *workload.Query) {
 	s.par.opNetBusy += finisher.NetService
 
 	from := finisher.Exec
+	if finisher != inst.primary {
+		// A winning clone's record retires with its completion; what the
+		// plan still needs of it was read above.
+		s.endAttempt(rec(finisher))
+	}
 	if len(inst.outTo) == 0 {
 		// A root instance ships its share of the final result home (a
 		// split root sends one share per instance).
@@ -686,15 +706,37 @@ func (s *System) parOpDone(inst *opInstance, finisher *workload.Query) {
 // retired, so the data has no retry path.
 func (s *System) parShip(pe *planExec, from, to int, size float64, tgt *opInstance) float64 {
 	t := s.charge(pe.q, size)
-	m := network.Message{From: from, To: to, Size: size, OnDeliver: func() { s.parArrive(pe, tgt) }}
+	m := network.Message{From: from, To: to, Size: size, Handle: s.planDataFn, Arg: pe}
 	if tgt != nil {
 		m.Kind = eventKindOperator
+		m.Arg = tgt
 	}
-	if s.faults != nil {
-		m.OnDrop = func() { s.parPlanFailed(pe) }
-	}
+	pe.pending++
 	s.ring.Send(m)
 	return t
+}
+
+// onPlanData is the delivery of a plan shipment: an input to instance
+// tgt, or (Arg the plan itself) a root share home. A drop collapses the
+// plan.
+func (s *System) onPlanData(arg any, dropped bool) {
+	var pe *planExec
+	var tgt *opInstance
+	switch x := arg.(type) {
+	case *opInstance:
+		pe, tgt = x.pe, x
+	case *planExec:
+		pe = x
+	}
+	if pe.pending <= 0 {
+		panic(fmt.Sprintf("system: shipment for released plan of query %d", pe.q.ID))
+	}
+	if dropped {
+		s.parPlanFailed(pe)
+	} else {
+		s.parArrive(pe, tgt)
+	}
+	s.unholdPlan(pe)
 }
 
 // parArrive lands plan data unless the plan collapsed meanwhile: one
@@ -709,6 +751,7 @@ func (s *System) parArrive(pe *planExec, tgt *opInstance) {
 		pe.rootRemaining--
 		if pe.rootRemaining == 0 {
 			s.complete(pe.q)
+			s.endPlan(pe)
 		}
 		return
 	}
@@ -726,6 +769,7 @@ func (s *System) parPlanFailed(pe *planExec) {
 	}
 	s.parWithdraw(pe, false)
 	s.rejectQuery(pe.q)
+	s.endPlan(pe)
 }
 
 // parWithdraw aborts every in-flight attempt of a plan exactly once:

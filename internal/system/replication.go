@@ -157,34 +157,38 @@ func (s *System) replDegradedSite(q *workload.Query) int {
 	return exec
 }
 
-// replFetch ships q's fragment from the nearest holder to the degraded
+// replFetch ships q's fragment from the nearest holder to q's degraded
 // execution site, then executes. The holder may be down — its stable
 // storage survives the execution engine's crash (the same assumption
 // that keeps terminals alive), so archives stay readable.
-func (s *System) replFetch(q *workload.Query, site int) {
+func (s *System) replFetch(q *workload.Query) {
 	size := s.repl.cfg.FragmentSize
 	s.charge(q, size)
-	m := network.Message{
-		From: s.replNearestHolder(q.Object, site),
-		To:   site,
-		Size: size,
-		Kind: eventKindFragment,
-		OnDeliver: func() {
-			if withdrawn(q) {
-				return
-			}
-			if !s.up(site) {
-				s.lose(q)
-				return
-			}
-			s.sites[site].Execute(q)
-		},
-	}
-	if s.faults != nil {
-		m.OnDrop = func() { s.dropped(q) }
-	}
 	s.repl.degraded++
-	s.ring.Send(m)
+	s.send(q, network.Message{
+		From:   s.replNearestHolder(q.Object, q.Exec),
+		To:     q.Exec,
+		Size:   size,
+		Kind:   eventKindFragment,
+		Handle: s.fetchFn,
+	})
+}
+
+// onFetch is the delivery of a degraded read's fragment: q executes at
+// its site unless the fetch dropped, q was withdrawn meanwhile, or the
+// site died.
+func (s *System) onFetch(arg any, dropped bool) {
+	q, a := delivered(arg)
+	switch {
+	case dropped:
+		s.dropped(q)
+	case withdrawn(q):
+	case !s.up(q.Exec):
+		s.lose(q)
+	default:
+		s.sites[q.Exec].Execute(q)
+	}
+	s.settle(a)
 }
 
 // replNearestHolder picks the holder of object with the shortest ring

@@ -90,6 +90,15 @@ type System struct {
 	tracked      bool
 	hedgeScratch []int // reusable candidate buffer for hedge re-selection
 
+	// attempts, insts and plans are the lifecycle-record free lists
+	// (pool.go); empty, and never used, in untracked runs.
+	attempts freeList[attempt]
+	insts    freeList[opInstance]
+	plans    freeList[planExec]
+	// shipFn, resultFn, fetchFn and planDataFn are the ring handlers of
+	// attempt and plan messages, bound once so sending allocates nothing.
+	shipFn, resultFn, fetchFn, planDataFn func(arg any, dropped bool)
+
 	// respHists are the per-class measured response-time histograms (plus
 	// the all-classes aggregate) behind the tail quantiles in Results and
 	// the hedge trigger. Always built; adding a sample costs no
@@ -105,6 +114,7 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, sched: sim.NewImpl(cfg.Scheduler)}
+	s.bindHandlers()
 	root := rng.NewStream(cfg.Seed)
 
 	var err error
@@ -354,13 +364,13 @@ func (s *System) startThink(home int) {
 // submit is a closed terminal's submission: a new query is generated
 // and admitted.
 func (s *System) submit(home int) {
-	s.admit(s.gen.New(home, s.sched.Now()))
+	s.admit(s.newQuery(-1, home))
 }
 
 // admit realizes the allocation decision point of Figure 2 for a new
 // query: its optimizer estimates are perturbed when estimation-error
-// injection is on, it gets its object and lifecycle record, and it is
-// handed to the allocation path.
+// injection is on, it gets its object, and it is handed to the
+// allocation path.
 func (s *System) admit(q *workload.Query) {
 	if s.noise != nil {
 		// Policies decide on the noisy estimates; execution consumes the
@@ -369,9 +379,6 @@ func (s *System) admit(q *workload.Query) {
 	}
 	if s.cfg.Placement != nil {
 		q.Object = s.objStream.Intn(s.cfg.Placement.NumObjects())
-	}
-	if s.tracked {
-		q.Attempt = &attempt{}
 	}
 	if s.aud != nil {
 		s.aud.Submitted(s.sched.Now())
@@ -478,23 +485,22 @@ func (s *System) onExecDone(q *workload.Query) {
 	setPhase(q, phaseResult)
 	size := s.cfg.Classes[q.Class].MsgLength
 	s.charge(q, size)
-	m := network.Message{
-		From: q.Exec,
-		To:   q.Home,
-		Size: size,
-		OnDeliver: func() {
-			if !withdrawn(q) {
-				s.complete(q)
-			}
-		},
+	s.send(q, network.Message{From: q.Exec, To: q.Home, Size: size, Handle: s.resultFn})
+}
+
+// onResult is the delivery of a remote execution's result pages home. A
+// dropped result page set loses the execution's output; the commitment
+// was already released at execution end, so only the loss is recorded
+// and the watchdog re-runs the query.
+func (s *System) onResult(arg any, dropped bool) {
+	q, a := delivered(arg)
+	switch {
+	case dropped:
+		s.dropped(q)
+	case !withdrawn(q):
+		s.complete(q)
 	}
-	if s.faults != nil {
-		// A dropped result page set loses the execution's output; the
-		// commitment was already released above, so only the loss is
-		// recorded and the watchdog re-runs the query.
-		m.OnDrop = func() { s.dropped(q) }
-	}
-	s.ring.Send(m)
+	s.settle(a)
 }
 
 // complete returns results to the query's terminal of origin, records
@@ -506,9 +512,11 @@ func (s *System) complete(q *workload.Query) {
 	// The finishing attempt's realized slowdown feeds the gray-failure
 	// detector, attributed to the site that executed it.
 	s.suspectObserve(q)
-	if a := rec(q); a != nil {
+	a := rec(q)
+	var key *attempt
+	if a != nil {
 		a.phase = phaseDone
-		key := rec(s.hedgeResolve(q))
+		key = rec(s.hedgeResolve(q))
 		s.faultRetire(key)
 		if s.deadlineRetire(key) {
 			s.led.Met++
@@ -543,6 +551,13 @@ func (s *System) complete(q *workload.Query) {
 	}
 	if s.arr == nil {
 		s.startThink(q.Home)
+	}
+	if a != nil {
+		if a != key {
+			// A winning hedge clone retires with its completion.
+			s.endAttempt(a)
+		}
+		s.endQuery(&key.q)
 	}
 }
 

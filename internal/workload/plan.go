@@ -73,6 +73,8 @@ type Operator struct {
 	// forces a k-way fragment-and-replicate split. Only joins may exceed 1.
 	DOP int
 	// Inputs lists the operator's child node indices (empty for scans).
+	// Plans from PlanGen share their Inputs slices: treat them as
+	// read-only, and assign a fresh slice to change an operator's inputs.
 	Inputs []int
 }
 
@@ -107,7 +109,9 @@ func (p *Plan) Validate(numFrags, numSites int) error {
 	if p.Root < 0 || p.Root >= n {
 		return fmt.Errorf("workload: plan root %d out of range [0,%d)", p.Root, n)
 	}
-	consumers := make([]int, n)
+	// The bound n <= MaxPlanOps lets every scratch array live on the
+	// stack, so validating a plan allocates nothing.
+	var consumers [MaxPlanOps]int
 	for i, op := range p.Ops {
 		switch op.Kind {
 		case OpScan:
@@ -168,7 +172,7 @@ func (p *Plan) Validate(numFrags, numSites int) error {
 	if consumers[p.Root] != 0 {
 		return fmt.Errorf("workload: root %d is consumed by another operator", p.Root)
 	}
-	for i, c := range consumers {
+	for i, c := range consumers[:n] {
 		if i != p.Root && c != 1 {
 			return fmt.Errorf("workload: op %d consumed %d times, want 1", i, c)
 		}
@@ -176,18 +180,22 @@ func (p *Plan) Validate(numFrags, numSites int) error {
 	// Reachability from the root doubles as the cycle check: with every
 	// non-root consumed exactly once there are n-1 edges, so visiting all
 	// n nodes from the root proves the graph is a tree.
-	seen := make([]bool, n)
-	stack := []int{p.Root}
+	// Each node is pushed at most once, so the stack never exceeds n.
+	var seen [MaxPlanOps]bool
+	var stack [MaxPlanOps]int
+	stack[0] = p.Root
+	top := 1
 	seen[p.Root] = true
 	visited := 1
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for top > 0 {
+		top--
+		i := stack[top]
 		for _, in := range p.Ops[i].Inputs {
 			if !seen[in] {
 				seen[in] = true
 				visited++
-				stack = append(stack, in)
+				stack[top] = in
+				top++
 			}
 		}
 	}
@@ -200,7 +208,16 @@ func (p *Plan) Validate(numFrags, numSites int) error {
 // Parent returns, for each operator, the node consuming its output (-1
 // for the root). Valid plans only.
 func (p *Plan) Parent() []int {
-	parent := make([]int, len(p.Ops))
+	return p.ParentInto(nil)
+}
+
+// ParentInto is Parent writing into buf's storage (grown when too short)
+// and returning the filled slice.
+func (p *Plan) ParentInto(buf []int) []int {
+	parent := buf[:0]
+	for range p.Ops {
+		parent = append(parent, -1)
+	}
 	for i := range parent {
 		parent[i] = -1
 	}
@@ -239,50 +256,63 @@ type FragRep struct {
 // pages — every input page is covered by exactly one site's shipment
 // set.
 func ExpandFragRep(pl *replica.Placement, frag, pages int, sites []int) (FragRep, error) {
+	return ExpandFragRepInto(pl, frag, pages, sites, nil, nil)
+}
+
+// ExpandFragRepInto is ExpandFragRep building the result's Sites and
+// Shares in the storage of siteBuf and shareBuf (grown when too short),
+// so a caller reusing them across expansions allocates nothing.
+func ExpandFragRepInto(pl *replica.Placement, frag, pages int, sites, siteBuf, shareBuf []int) (FragRep, error) {
 	if pages < 1 {
 		return FragRep{}, fmt.Errorf("workload: fragment expansion of %d pages", pages)
 	}
 	if len(sites) == 0 {
 		return FragRep{}, fmt.Errorf("workload: fragment expansion over no sites")
 	}
-	seen := make(map[int]bool, len(sites))
-	for _, s := range sites {
+	// The offered lists are a handful of sites, so the quadratic
+	// duplicate scan beats building a set.
+	for i, s := range sites {
 		if s < 0 {
 			return FragRep{}, fmt.Errorf("workload: fragment expansion site %d < 0", s)
 		}
-		if seen[s] {
-			return FragRep{}, fmt.Errorf("workload: duplicate expansion site %d", s)
+		for _, prev := range sites[:i] {
+			if prev == s {
+				return FragRep{}, fmt.Errorf("workload: duplicate expansion site %d", s)
+			}
 		}
-		seen[s] = true
 	}
-	kept := sites
+	out := FragRep{Sites: siteBuf[:0], Shares: shareBuf[:0]}
 	if pl != nil {
 		if frag < 0 || frag >= pl.NumObjects() {
 			return FragRep{}, fmt.Errorf("workload: fragment %d out of range [0,%d)", frag, pl.NumObjects())
 		}
-		kept = make([]int, 0, len(sites))
 		for _, s := range sites {
 			if pl.Holds(s, frag) {
-				kept = append(kept, s)
+				out.Sites = append(out.Sites, s)
 			}
 		}
-		if len(kept) == 0 {
+		if len(out.Sites) == 0 {
 			// Degraded fallback: no offered site holds the fragment.
-			return FragRep{Sites: []int{sites[0]}, Shares: []int{pages}, Degraded: true}, nil
+			out.Sites = append(out.Sites, sites[0])
+			out.Shares = append(out.Shares, pages)
+			out.Degraded = true
+			return out, nil
 		}
+	} else {
+		out.Sites = append(out.Sites, sites...)
 	}
-	k := len(kept)
+	k := len(out.Sites)
 	if k > pages {
 		k = pages
 	}
-	out := FragRep{Sites: make([]int, k), Shares: make([]int, k)}
-	copy(out.Sites, kept[:k])
+	out.Sites = out.Sites[:k]
 	base, extra := pages/k, pages%k
 	for i := 0; i < k; i++ {
-		out.Shares[i] = base
+		share := base
 		if i < extra {
-			out.Shares[i]++
+			share++
 		}
+		out.Shares = append(out.Shares, share)
 	}
 	return out, nil
 }
@@ -334,14 +364,30 @@ func NewPlanGen(cfg PlanGenConfig, stream *rng.Stream) (*PlanGen, error) {
 	return &PlanGen{cfg: cfg, stream: stream}, nil
 }
 
+// Every join tree PlanGen builds has the same shape, so its plans share
+// these read-only Inputs slices.
+var (
+	joinInputs   = []int{0, 1}
+	filterInputs = []int{2}
+)
+
 // New samples a plan for query q. meanReads is the class's mean read
 // count, driving the second scan's size. With probability 1−JoinProb
 // the result is a single scan carrying exactly q's sampled demands — a
 // plan the engine treats as the monolithic query, so a JoinProb of 0
-// reproduces the paper's workload bit for bit.
+// reproduces the paper's workload bit for bit. The plan's Inputs slices
+// are shared with every other generated plan (see Operator.Inputs).
 func (g *PlanGen) New(q *Query, meanReads float64) Plan {
+	return g.NewInto(q, meanReads, nil)
+}
+
+// NewInto is New building the plan's operators in ops' storage (grown
+// when too short), with the identical draws; a caller reusing ops across
+// plans allocates nothing once it holds four operators.
+func (g *PlanGen) NewInto(q *Query, meanReads float64, ops []Operator) Plan {
+	ops = ops[:0]
 	if !g.stream.Bernoulli(g.cfg.JoinProb) {
-		return Plan{Ops: []Operator{{Kind: OpScan, Reads: q.ReadsTotal, Frag: q.Object}}}
+		return Plan{Ops: append(ops, Operator{Kind: OpScan, Reads: q.ReadsTotal, Frag: q.Object})}
 	}
 	rightReads := int(math.Round(g.stream.Exp(meanReads)))
 	if rightReads < 1 {
@@ -364,11 +410,11 @@ func (g *PlanGen) New(q *Query, meanReads float64) Plan {
 		Reads:   left.OutPages + right.OutPages,
 		PageCPU: g.cfg.JoinPageCPU,
 		Frag:    -1,
-		Inputs:  []int{0, 1},
+		Inputs:  joinInputs,
 	}
 	join.OutPages = ClampPages(g.cfg.SelJoin * float64(join.Reads))
 	join.OutBytes = float64(join.OutPages) * g.cfg.ShipBytesPerPage
-	ops := []Operator{left, right, join}
+	ops = append(ops, left, right, join)
 	root := 2
 	if filter {
 		f := Operator{
@@ -376,7 +422,7 @@ func (g *PlanGen) New(q *Query, meanReads float64) Plan {
 			Reads:   join.OutPages,
 			PageCPU: g.cfg.FilterPageCPU,
 			Frag:    -1,
-			Inputs:  []int{2},
+			Inputs:  filterInputs,
 		}
 		f.OutPages = ClampPages(g.cfg.SelScan * float64(f.Reads))
 		f.OutBytes = float64(f.OutPages) * g.cfg.ShipBytesPerPage

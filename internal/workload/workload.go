@@ -232,7 +232,17 @@ func (g *Generator) Classes() []Class { return g.classes }
 // New samples a query submitted by a terminal at the given home site at
 // the given simulated time.
 func (g *Generator) New(home int, now float64) *Query {
-	return g.build(g.sampleClass(), home, now)
+	q := new(Query)
+	g.Fill(q, home, now)
+	return q
+}
+
+// Fill samples a query exactly as New does, with the same draws, but
+// writes it over *q instead of allocating — the entry point for callers
+// that keep their queries in pooled records. Every field of *q is
+// overwritten.
+func (g *Generator) Fill(q *Query, home int, now float64) {
+	g.build(q, g.sampleClass(), home, now)
 }
 
 // NewOfClass samples a query of a fixed class — the open-arrival
@@ -240,23 +250,31 @@ func (g *Generator) New(home int, now float64) *Query {
 // and therefore no class draw happens here. It consumes exactly one
 // read-count draw from the generator's stream.
 func (g *Generator) NewOfClass(class, home int, now float64) *Query {
+	q := new(Query)
+	g.FillOfClass(q, class, home, now)
+	return q
+}
+
+// FillOfClass is NewOfClass writing over *q instead of allocating.
+func (g *Generator) FillOfClass(q *Query, class, home int, now float64) {
 	if class < 0 || class >= len(g.classes) {
 		panic(fmt.Sprintf("workload: class %d out of range", class))
 	}
-	return g.build(class, home, now)
+	g.build(q, class, home, now)
 }
 
-func (g *Generator) build(class, home int, now float64) *Query {
+func (g *Generator) build(q *Query, class, home int, now float64) {
 	c := g.classes[class]
 	reads := g.sampleReads(c.NumReads)
-	q := &Query{
-		ID:         g.nextID,
-		Class:      class,
-		Home:       home,
-		Exec:       home,
-		ReadsTotal: reads,
-		SubmitTime: now,
-	}
+	// Clear and set in place: a composite literal assigned through q
+	// would be built in a temporary and copied.
+	*q = Query{}
+	q.ID = g.nextID
+	q.Class = class
+	q.Home = home
+	q.Exec = home
+	q.ReadsTotal = reads
+	q.SubmitTime = now
 	g.nextID++
 	switch g.mode {
 	case EstimateActual:
@@ -265,7 +283,6 @@ func (g *Generator) build(class, home int, now float64) *Query {
 		q.EstReads = c.NumReads
 	}
 	q.EstPageCPU = c.PageCPUTime
-	return q
 }
 
 // sampleClass draws a class index from the class distribution function.

@@ -56,8 +56,8 @@ type Ledger struct {
 	DeadlineOpAborts, DeadlineOpReleases uint64
 
 	// QueriesLive, PlansLive and the two Stranded counts census the
-	// lifecycle records the system holds: logical queries admitted with a
-	// record and not yet completed or rejected, multi-operator plans
+	// records the system holds: logical queries submitted and not yet
+	// completed or rejected, tracked or untracked, multi-operator plans
 	// started and not yet completed or collapsed, and attempt and plan
 	// records already retired but still owed a delivery (a withdrawn
 	// attempt's message or resubmission, a collapsed plan's shipment).

@@ -8,10 +8,10 @@ import (
 
 // TestThinkExecuteCycleAllocBudget pins the end-to-end allocation cost
 // of the model: one full terminal cycle (think → submit → allocate →
-// execute → reply) costs a handful of allocations — the Query object
-// and its per-run bookkeeping — and nothing per event. The budget is
-// per completed query, amortizing one-time construction over the run;
-// it is set at roughly 2× the measured value (~3/query on a short
+// execute → reply) allocates nothing — its Query comes from the
+// untracked free list — so what remains is one-time construction. The
+// budget is per completed query, amortizing that construction over the
+// run; it is set at roughly 2× the measured value (~0.5/query on a short
 // run), far below the ~50/query a per-event closure regression costs.
 func TestThinkExecuteCycleAllocBudget(t *testing.T) {
 	if race.Enabled {
@@ -34,7 +34,56 @@ func TestThinkExecuteCycleAllocBudget(t *testing.T) {
 	}
 	perQuery := avg / float64(res.Completed)
 	t.Logf("%.0f allocs over %d completions = %.2f allocs/query", avg, res.Completed, perQuery)
-	if perQuery > 6 {
-		t.Errorf("think–execute cycle costs %.2f allocs/query, budget 6", perQuery)
+	if perQuery > 1 {
+		t.Errorf("think–execute cycle costs %.2f allocs/query, budget 1", perQuery)
+	}
+}
+
+// TestUntrackedSteadyStateAllocs pins the untracked query free list:
+// once the list covers the peak in-flight population, a run without
+// lifecycle subsystems allocates nothing per query, so doubling its
+// measured horizon adds (almost) no allocations, and a whole lan64-shaped
+// replication — construction included — stays within a fixed budget.
+func TestUntrackedSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	run := func(cfg Config) (float64, uint64) {
+		var res Results
+		avg := testing.AllocsPerRun(1, func() {
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res = sys.Run()
+		})
+		if res.Completed == 0 {
+			t.Fatal("run completed nothing")
+		}
+		return avg, res.Completed
+	}
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		budget float64 // allocations of one replication at the base horizon, 0 for none
+	}{
+		{"paper", Default(), 0},
+		{"lan64", benchLan64(), 5000},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base, n := run(c.cfg)
+			long := c.cfg
+			long.Measure *= 2
+			longAllocs, longN := run(long)
+			perExtra := (longAllocs - base) / float64(longN-n)
+			t.Logf("%.0f allocs over %d completions, %.0f over %d at twice the horizon: %.4f per extra query",
+				base, n, longAllocs, longN, perExtra)
+			if perExtra > 0.01 {
+				t.Errorf("%.4f allocs per extra completed query, budget 0.01", perExtra)
+			}
+			if c.budget > 0 && base > c.budget {
+				t.Errorf("replication allocates %.0f objects, budget %.0f", base, c.budget)
+			}
+		})
 	}
 }

@@ -20,7 +20,8 @@ import (
 // handlers the System binds once, so no path here allocates a closure.
 // No record exists when deadlines, hedging, faults and operator trees are
 // all off: nothing then reads a phase, so those runs pay only a nil
-// interface check.
+// interface check, and their untracked queries are recycled through a
+// free list of their own (pool.go).
 
 // Attempt lifecycle phases. The zero value phaseNone means "not yet
 // dispatched".

@@ -7,16 +7,16 @@ import (
 )
 
 // This file pools the lifecycle records — query attempts, operator
-// instances and plans — so a run with lifecycle subsystems allocates
-// records only until its free lists cover the peak in-flight population
-// (see DESIGN.md, "Record pool"). The free rule: a record counts the
-// deliveries still owed to it — ring messages carrying it and timers not
-// cancelled at its retirement — and returns to its free list exactly
-// once, when it has been retired and that count is zero. Every surviving
-// reference is counted, so no stale one can reach a reused record and no
-// generation field is needed. Records are taken only when a query, a
-// hedge clone or a plan starts, never inside the callback chain that
-// retired one.
+// instances and plans — and the untracked queries of runs without
+// lifecycle subsystems, so a run allocates them only until its free
+// lists cover the peak in-flight population (see DESIGN.md, "Record
+// pool"). The free rule: a record counts the deliveries still owed to
+// it — ring messages carrying it and timers not cancelled at its
+// retirement — and returns to its free list exactly once, when it has
+// been retired and that count is zero. Every surviving reference is
+// counted, so no stale one can reach a reused record and no generation
+// field is needed. Records are taken only when a query, a hedge clone or
+// a plan starts, never inside the callback chain that retired one.
 
 // freeList is a LIFO free list of one record kind. taken and returned
 // count the traffic, so their difference is the number of records held.
@@ -86,25 +86,30 @@ func (s *System) newAttempt() *attempt {
 }
 
 // newQuery is a terminal's or arrival source's new query: sampled into a
-// fresh attempt record when the run tracks lifecycles, allocated plainly
-// otherwise. class < 0 samples the class too.
+// fresh attempt record when the run tracks lifecycles, and otherwise into
+// a query endQuery released, allocated only while none is free. Either
+// way the query counts as live until endQuery. class < 0 samples the
+// class too.
 func (s *System) newQuery(class, home int) *workload.Query {
+	var a *attempt
+	var q *workload.Query
+	if s.tracked {
+		a = s.newAttempt()
+		q = &a.q
+	} else if q = s.queries.get(); q == nil {
+		q = new(workload.Query)
+	}
 	now := s.sched.Now()
-	if !s.tracked {
-		if class < 0 {
-			return s.gen.New(home, now)
-		}
-		return s.gen.NewOfClass(class, home, now)
-	}
-	a := s.newAttempt()
 	if class < 0 {
-		s.gen.Fill(&a.q, home, now)
+		s.gen.Fill(q, home, now)
 	} else {
-		s.gen.FillOfClass(&a.q, class, home, now)
+		s.gen.FillOfClass(q, class, home, now)
 	}
-	a.q.Attempt = a
+	if a != nil {
+		q.Attempt = a
+	}
 	s.led.QueriesLive++
-	return &a.q
+	return q
 }
 
 // hold counts one more delivery owed to a's record: a plan carrier's
@@ -154,13 +159,27 @@ func (s *System) endAttempt(a *attempt) {
 }
 
 // endQuery retires logical query q at its one end — completion,
-// rejection or deadline miss. Untracked queries have no record.
+// rejection or deadline miss — and is the one release point of every
+// logical query. A tracked query's record retires with it; an untracked
+// query has no deliveries or timers left once it ends, so it goes
+// straight back to its free list. Under Audit it is poisoned with the
+// releasedQuery sentinel, so a stale delivery (see live) or a second end
+// (see endAttempt) panics; the Fill that reuses it clears the sentinel.
 func (s *System) endQuery(q *workload.Query) {
+	s.led.QueriesLive--
 	if a := rec(q); a != nil {
-		s.led.QueriesLive--
 		s.endAttempt(a)
+		return
 	}
+	if s.aud != nil {
+		q.Attempt = releasedQuery
+	}
+	s.queries.put(q)
 }
+
+// releasedQuery is the poison record of a released untracked query: free,
+// and already retired.
+var releasedQuery = &attempt{phase: phaseFree, ended: true}
 
 // freeAttempt poisons a's record and returns it to its list. Under Audit
 // a record still marked defunct (a delivery would consume a reused

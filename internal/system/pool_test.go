@@ -3,8 +3,10 @@ package system
 import (
 	"testing"
 
+	"dqalloc/internal/arrival"
 	"dqalloc/internal/policy"
 	"dqalloc/internal/race"
+	"dqalloc/internal/replica"
 	"dqalloc/internal/sim"
 	"dqalloc/internal/workload"
 )
@@ -49,35 +51,59 @@ func TestChaosAllocBudget(t *testing.T) {
 	}
 }
 
-// TestPoolBalance checks the free rule against the ledger's record
-// censuses: at the horizon every record taken and not returned is a live
-// logical query, a racing clone, a live plan, or a retired record still
-// owed a delivery. A leaked record (retired, owed nothing, never freed)
-// or a double free breaks the identity.
-func TestPoolBalance(t *testing.T) {
+// benchLan64 returns the benchmark's lan64 shape: the Table-7 model at
+// 64 sites with a 0.1 message time, LERT, over a 500 + 10000 horizon.
+func benchLan64() Config {
+	cfg := Default()
+	cfg.NumSites = 64
+	cfg.MsgTime = 0.1
+	cfg.Warmup, cfg.Measure = 500, 10000
+	return cfg
+}
+
+// untrackedConfigs returns audited runs without lifecycle subsystems, so
+// their queries come from the untracked free list: the paper default,
+// the lan64 shape, and the CI open-arrival run (dqsim -policy BNQ -sites
+// 3 -mpl 5 -warmup 200 -measure 2000 -arrival mmpp -rate 0.15 -admit-max
+// 4 -admit-defer 5 -objects 12 -copies 2), whose admission control
+// defers and sheds queries under a static partial placement.
+func untrackedConfigs(t *testing.T) []struct {
+	name string
+	cfg  Config
+} {
+	t.Helper()
+	paper := Default()
+	lan64 := benchLan64()
+	open := dqsimConfig(3, 5, 200, 2000)
+	open.PolicyKind = policy.BNQ
+	open.Arrival = arrival.DefaultMMPP(0.15)
+	open.Arrival.BurstFactor = 4
+	open.Admission = AdmissionConfig{Enabled: true, MaxQueue: 4, Defer: true, DeferDelay: 5, MaxDefers: 3}
+	var err error
+	if open.Placement, err = replica.NewRoundRobin(3, 12, 2); err != nil {
+		t.Fatal(err)
+	}
 	cfgs := []struct {
 		name string
 		cfg  Config
-	}{}
-	for _, g := range lifecycleDigests(t) {
-		cfgs = append(cfgs, struct {
-			name string
-			cfg  Config
-		}{g.name, g.cfg})
+	}{{"paper", paper}, {"lan64", lan64}, {"open-admission", open}}
+	for i := range cfgs {
+		cfgs[i].cfg.Audit = true
 	}
-	for _, c := range cfgs {
+	return cfgs
+}
+
+// TestPoolBalance checks the free rule against the ledger's record
+// censuses: at the horizon every record taken and not returned is a live
+// logical query, a racing clone, a live plan, or a retired record still
+// owed a delivery; on untracked runs every query taken and not returned
+// is a live logical query. A leaked record (retired, owed nothing, never
+// freed) or a double free breaks the identity.
+func TestPoolBalance(t *testing.T) {
+	for _, g := range lifecycleDigests(t) {
 		for _, impl := range []sim.Impl{sim.Calendar, sim.Heap} {
-			t.Run(c.name+"/"+impl.String(), func(t *testing.T) {
-				cfg := c.cfg
-				cfg.Scheduler = impl
-				sys, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys.Run()
-				if err := sys.Audit(); err != nil {
-					t.Fatal(err)
-				}
+			t.Run(g.name+"/"+impl.String(), func(t *testing.T) {
+				sys := runPooled(t, g.cfg, impl, true)
 				led := &sys.led
 				if sys.attempts.taken == 0 {
 					t.Fatal("no attempt record taken")
@@ -96,6 +122,51 @@ func TestPoolBalance(t *testing.T) {
 			})
 		}
 	}
+	for _, c := range untrackedConfigs(t) {
+		for _, impl := range []sim.Impl{sim.Calendar, sim.Heap} {
+			t.Run(c.name+"/"+impl.String(), func(t *testing.T) {
+				sys := runPooled(t, c.cfg, impl, false)
+				if sys.queries.taken == 0 {
+					t.Fatal("no untracked query taken")
+				}
+				if got, want := sys.queries.held(), uint64(sys.led.QueriesLive); got != want {
+					t.Errorf("%d untracked queries held, %d live", got, want)
+				}
+				if c.cfg.Admission.Enabled && (sys.led.Shed == 0 || sys.led.Resubmitted == 0) {
+					t.Errorf("admission shed %d and resubmitted %d queries; the run exercises neither end",
+						sys.led.Shed, sys.led.Resubmitted)
+				}
+				t.Logf("queries taken %d held %d, %d free; shed %d, resubmitted %d",
+					sys.queries.taken, sys.queries.held(), len(sys.queries.free), sys.led.Shed, sys.led.Resubmitted)
+			})
+		}
+	}
+}
+
+// runPooled runs cfg under scheduler impl, checking that it tracks
+// lifecycles exactly when tracked says so, that its audit passes, and
+// that the other kind of free list stayed unused.
+func runPooled(t *testing.T, cfg Config, impl sim.Impl, tracked bool) *System {
+	t.Helper()
+	cfg.Scheduler = impl
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.tracked != tracked {
+		t.Fatalf("run tracked = %v, want %v", sys.tracked, tracked)
+	}
+	sys.Run()
+	if err := sys.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	if tracked && sys.queries.taken != 0 {
+		t.Errorf("tracked run took %d untracked queries", sys.queries.taken)
+	}
+	if !tracked && sys.attempts.taken+sys.plans.taken != 0 {
+		t.Errorf("untracked run took %d attempt and %d plan records", sys.attempts.taken, sys.plans.taken)
+	}
+	return sys
 }
 
 // TestReleasedRecordPoisoned injects a stale delivery — one the free
@@ -132,6 +203,48 @@ func TestReleasedRecordPoisoned(t *testing.T) {
 			defer func() {
 				if recover() == nil {
 					t.Error("stale delivery against a released record did not panic")
+				}
+			}()
+			inject.deliver()
+		})
+	}
+}
+
+// TestReleasedRecordPoisonedUntracked is TestReleasedRecordPoisoned for
+// the untracked free list: under Audit a released untracked query carries
+// the releasedQuery sentinel, so a stale delivery or resubmission against
+// it, or a second end, panics instead of acting on the query reusing it.
+func TestReleasedRecordPoisonedUntracked(t *testing.T) {
+	open := untrackedConfigs(t)[2]
+	if open.name != "open-admission" {
+		t.Fatalf("config %q, want open-admission", open.name)
+	}
+	sys, err := New(open.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	if len(sys.queries.free) == 0 {
+		t.Fatal("no released query to inject against")
+	}
+	q := sys.queries.free[len(sys.queries.free)-1]
+	if q.Attempt != releasedQuery {
+		t.Fatalf("released query carries %v, want the releasedQuery sentinel", q.Attempt)
+	}
+	for _, inject := range []struct {
+		name    string
+		deliver func()
+	}{
+		{"ship", func() { sys.shipFn(q, false) }},
+		{"result", func() { sys.resultFn(q, false) }},
+		{"fetch", func() { sys.fetchFn(q, false) }},
+		{"resubmission", func() { sys.resubmit(q) }},
+		{"second end", func() { sys.endQuery(q) }},
+	} {
+		t.Run(inject.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("stale use of a released untracked query did not panic")
 				}
 			}()
 			inject.deliver()

@@ -91,10 +91,12 @@ type System struct {
 	hedgeScratch []int // reusable candidate buffer for hedge re-selection
 
 	// attempts, insts and plans are the lifecycle-record free lists
-	// (pool.go); empty, and never used, in untracked runs.
+	// (pool.go), empty and never used in untracked runs; queries is the
+	// untracked runs' query free list, never used in tracked ones.
 	attempts freeList[attempt]
 	insts    freeList[opInstance]
 	plans    freeList[planExec]
+	queries  freeList[workload.Query]
 	// shipFn, resultFn, fetchFn and planDataFn are the ring handlers of
 	// attempt and plan messages, bound once so sending allocates nothing.
 	shipFn, resultFn, fetchFn, planDataFn func(arg any, dropped bool)
@@ -557,8 +559,9 @@ func (s *System) complete(q *workload.Query) {
 			// A winning hedge clone retires with its completion.
 			s.endAttempt(a)
 		}
-		s.endQuery(&key.q)
+		q = &key.q
 	}
+	s.endQuery(q)
 }
 
 // bound classifies q exactly as the allocation heuristics do, so that

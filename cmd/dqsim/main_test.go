@@ -122,7 +122,8 @@ func TestRunWithOverloadFlags(t *testing.T) {
 }
 
 // TestRunFlagErrors checks that every malformed imperfect-information
-// flag combination comes back as an error from run, never a panic.
+// flag combination, and every non-finite horizon, comes back as an error
+// from run, never a panic or a run without end.
 func TestRunFlagErrors(t *testing.T) {
 	cases := map[string][]string{
 		"unknown flag":        {"-no-such-flag"},
@@ -148,6 +149,9 @@ func TestRunFlagErrors(t *testing.T) {
 		"ceiling over sites":  {"-objects", "12", "-rebuild", "-max-copies", "9"},
 		"scan without rates":  {"-objects", "12", "-rebuild", "-scan", "100", "-hot", "0.01", "-cold", "0.05"},
 		"zero fragment":       {"-objects", "12", "-rebuild", "-frag-size", "0"},
+		"NaN measure":         {"-measure", "NaN"},
+		"infinite measure":    {"-measure", "Inf"},
+		"NaN warmup":          {"-warmup", "NaN"},
 	}
 	for name, args := range cases {
 		if err := run(args, io.Discard); err == nil {

@@ -23,6 +23,15 @@ func TestRunnerValidate(t *testing.T) {
 	if (Runner{Reps: 1, Warmup: -1}).Validate() == nil {
 		t.Error("negative warmup accepted")
 	}
+	for _, r := range []Runner{
+		{Reps: 1, Warmup: math.NaN(), Measure: 1000},
+		{Reps: 1, Measure: math.NaN()},
+		{Reps: 1, Measure: math.Inf(1)},
+	} {
+		if r.Validate() == nil {
+			t.Errorf("non-finite horizon Warmup %v, Measure %v accepted", r.Warmup, r.Measure)
+		}
+	}
 	if err := Quick().Validate(); err != nil {
 		t.Errorf("Quick() invalid: %v", err)
 	}

@@ -8,6 +8,7 @@ package exper
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -81,6 +82,9 @@ func (r Runner) Validate() error {
 	}
 	if r.Warmup < 0 || r.Measure < 0 {
 		return fmt.Errorf("exper: negative horizon")
+	}
+	if math.IsNaN(r.Warmup) || math.IsNaN(r.Measure) || math.IsInf(r.Warmup+r.Measure, 0) {
+		return fmt.Errorf("exper: horizon Warmup %v + Measure %v is not finite", r.Warmup, r.Measure)
 	}
 	return nil
 }

@@ -117,6 +117,29 @@ func TestDigestedStepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRunUntilSteadyStateAllocs pins the loop every model run spends its
+// time in: once warm, firing the lan64-shaped mix (see mixedLoad)
+// through RunUntil chunks allocates nothing per fired event.
+func TestRunUntilSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	for _, impl := range allocImpls {
+		t.Run(impl.String(), func(t *testing.T) {
+			s := NewImpl(impl)
+			mixedLoad(s)
+			s.RunUntil(100)
+			before := s.Fired()
+			avg := testing.AllocsPerRun(100, func() {
+				s.RunUntil(s.Now() + 1)
+			})
+			if per := avg / (float64(s.Fired()-before) / 101); per != 0 {
+				t.Errorf("RunUntil steady state allocates %v objects per fired event, want 0", per)
+			}
+		})
+	}
+}
+
 // TestCalendarResizeOscillationAllocs forces the calendar queue across
 // its slot-resize boundaries in both directions — fill from empty to
 // 512 pending (grow rebuilds at count > 2·nb: 17, 33, …, 257) then

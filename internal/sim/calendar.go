@@ -15,8 +15,9 @@ package sim
 // kept sorted by (time, seq). The cursor rests on the first non-empty
 // bucket, so the head of its slot is the global minimum and pop is an
 // unlink. An insert earlier than the cursor's bucket (the clock trails
-// the cursor after a peek or a re-anchor) is clamped into the cursor's
-// slot, where the sorted insert puts it ahead of the later events.
+// the cursor after a popUntil that stopped at its horizon, or a
+// re-anchor) is clamped into the cursor's slot, where the sorted insert
+// puts it ahead of the later events.
 // Events beyond the window wait in an overflow min-heap; every cursor
 // advance opens one virtual bucket at the window's top and migrates the
 // overflow events that now fall inside it, so a far-future event (a
@@ -119,6 +120,15 @@ func (c *calendar) insert(e *Event) {
 
 // place routes e to its slot or the overflow heap. It performs no
 // resize checks, so rebuild and overflow migration can reuse it.
+//
+// Within a slot, e goes where a sorted walk would put it. Because (time,
+// seq) is a strict total order that position is unique, and three cases
+// find it without walking: an empty slot, e not before the tail (append —
+// the common case, since new events usually carry the latest (time, seq)
+// in their bucket, and a same-instant burst always appends because seq
+// increases), and e before the head (prepend). Only an interior position
+// walks, from the tail, and it stops before the head because e is not
+// before the head.
 func (c *calendar) place(e *Event) {
 	d := (e.time - c.origin) * c.invw
 	if d >= float64(c.cur+c.nb) {
@@ -135,30 +145,25 @@ func (c *calendar) place(e *Event) {
 	c.inBuckets++
 	e.index = int32(i)
 	b := &c.slots[i]
-	// Sorted insert scanning from the tail: new events usually carry the
-	// latest (time, seq) in their bucket — in particular, a same-instant
-	// burst appends in O(1) because seq always increases.
-	p := b.tail
-	for p != nil && less(e, p) {
-		p = p.prev
-	}
-	if p == nil {
-		e.prev = nil
-		e.next = b.head
-		if b.head != nil {
-			b.head.prev = e
-		} else {
-			b.tail = e
-		}
+	switch tail := b.tail; {
+	case tail == nil:
+		e.prev, e.next = nil, nil
+		b.head, b.tail = e, e
+	case !less(e, tail):
+		e.prev, e.next = tail, nil
+		tail.next = e
+		b.tail = e
+	case less(e, b.head):
+		e.prev, e.next = nil, b.head
+		b.head.prev = e
 		b.head = e
-	} else {
-		e.prev = p
-		e.next = p.next
-		if p.next != nil {
-			p.next.prev = e
-		} else {
-			b.tail = e
+	default:
+		p := tail.prev
+		for less(e, p) {
+			p = p.prev
 		}
+		e.prev, e.next = p, p.next
+		p.next.prev = e
 		p.next = e
 	}
 }
@@ -181,7 +186,7 @@ func (c *calendar) unlink(e *Event) {
 
 // peek returns the earliest pending event without removing it, or nil.
 // It advances the cursor past empty buckets, re-anchoring first if only
-// overflow events remain; both moves are state the next peek/pop
+// overflow events remain; both moves are state the next peek/popUntil
 // reuses, never information loss.
 func (c *calendar) peek() *Event {
 	if c.count == 0 {
@@ -209,10 +214,13 @@ func (c *calendar) migrate() {
 	}
 }
 
-// pop removes and returns the earliest pending event, or nil.
-func (c *calendar) pop() *Event {
+// popUntil removes and returns the earliest pending event if its time
+// is at most t, or nil if there is none. The cursor walk that finds the
+// head is done once: the caller fires what popUntil returns, with no
+// second lookup.
+func (c *calendar) popUntil(t float64) *Event {
 	e := c.peek()
-	if e == nil {
+	if e == nil || e.time > t {
 		return nil
 	}
 	c.unlink(e)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -216,4 +217,212 @@ func TestDifferentialCalendarVsHeap(t *testing.T) {
 			})
 		}
 	}
+}
+
+// runDriver is one way of firing events up to a horizon.
+type runDriver struct {
+	name string
+	impl Impl
+	run  func(s *Scheduler, until float64)
+}
+
+// runDrivers are the three schedulers TestDifferentialRunUntil holds
+// against each other: RunUntil on the calendar and on the heap, and a
+// calendar driven by Step after a separate look at the head, so its
+// horizon check is independent of popUntil's.
+var runDrivers = []runDriver{
+	{"calendar", Calendar, (*Scheduler).RunUntil},
+	{"heap", Heap, (*Scheduler).RunUntil},
+	{"calendar-step", Calendar, func(s *Scheduler, until float64) {
+		s.stopped = false
+		for !s.stopped {
+			if e := s.cal.peek(); e == nil || e.time > until {
+				break
+			}
+			s.Step()
+		}
+		if !s.stopped && s.now < until {
+			s.now = until
+		}
+	}},
+}
+
+// TestDifferentialRunUntil drives every diffProfiles workload through
+// RunUntil chunks on each of runDrivers and requires identical fire
+// streams, clocks, pending counts and handle liveness across all three.
+// Horizons are drawn at the current time (h = 0), exactly on a pending
+// event's time, or a profile delay ahead; now and then an event's action
+// calls Stop, ending its chunk early. Subtests pin the Stop and h = 0
+// cases directly: after a Stop the next head stays pending and its
+// handle stays Scheduled.
+func TestDifferentialRunUntil(t *testing.T) {
+	const (
+		ops      = 3000
+		auditGap = 128
+	)
+	type fire struct {
+		time float64
+		seq  uint64
+	}
+	// rig holds one scheduler per driver, each with its fire stream and
+	// its handles in scheduling order.
+	type rig struct {
+		s     []*Scheduler
+		fired [][]fire
+		live  [][]Handle
+	}
+	newRig := func() *rig {
+		r := &rig{fired: make([][]fire, len(runDrivers)), live: make([][]Handle, len(runDrivers))}
+		for k, d := range runDrivers {
+			s := NewImpl(d.impl)
+			s.Observe(func(e *Event) { r.fired[k] = append(r.fired[k], fire{e.time, e.seq}) })
+			r.s = append(r.s, s)
+		}
+		return r
+	}
+	// schedule adds one event at the same time on every scheduler; a
+	// stopping event calls its own scheduler's Stop.
+	nop := func() {}
+	schedule := func(r *rig, at float64, stop bool) {
+		for k, s := range r.s {
+			a := nop
+			if stop {
+				a = s.Stop
+			}
+			r.live[k] = append(r.live[k], s.At(at, a))
+		}
+	}
+	run := func(r *rig, until float64) {
+		for k, d := range runDrivers {
+			d.run(r.s[k], until)
+		}
+	}
+	check := func(t *testing.T, r *rig, structural bool) {
+		t.Helper()
+		ref := r.s[0]
+		for k, s := range r.s {
+			if structural {
+				auditScheduler(t, s)
+			}
+			name := runDrivers[k].name
+			if s.Len() != ref.Len() || s.Now() != ref.Now() || s.Fired() != ref.Fired() {
+				t.Fatalf("%s: pending %d, now %v, fired %d; %s: %d, %v, %d", name, s.Len(), s.Now(), s.Fired(),
+					runDrivers[0].name, ref.Len(), ref.Now(), ref.Fired())
+			}
+			if !reflect.DeepEqual(r.fired[k], r.fired[0]) {
+				t.Fatalf("%s fire stream diverged from %s", name, runDrivers[0].name)
+			}
+			for j := range r.live[k] {
+				if r.live[k][j].Scheduled() != r.live[0][j].Scheduled() {
+					t.Fatalf("%s: handle %d liveness diverged", name, j)
+				}
+			}
+		}
+	}
+
+	for _, p := range diffProfiles {
+		for seed := int64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", p.name, seed), func(t *testing.T) {
+				rnd := rand.New(rand.NewSource(seed))
+				r := newRig()
+				ref := r.s[0]
+				for i := 0; i < ops; i++ {
+					switch w := rnd.Intn(100); {
+					case w < p.cancelW:
+						if len(r.live[0]) == 0 {
+							continue
+						}
+						j := rnd.Intn(len(r.live[0]))
+						want := ref.Cancel(r.live[0][j])
+						for k, s := range r.s[1:] {
+							if s.Cancel(r.live[k+1][j]) != want {
+								t.Fatalf("Cancel diverged on handle %d", j)
+							}
+						}
+					case w < p.cancelW+p.stepW:
+						until := ref.Now()
+						switch rnd.Intn(4) {
+						case 0: // h = 0: fire only what is due now
+						case 1: // exactly on a pending event's time
+							if n := len(r.live[0]); n > 0 {
+								if h := r.live[0][rnd.Intn(n)]; h.Scheduled() {
+									until = h.e.time
+								}
+							}
+						default:
+							until += p.delay(rnd)
+						}
+						run(r, until)
+					default:
+						schedule(r, ref.Now()+p.delay(rnd), rnd.Intn(64) == 0)
+					}
+					if i%auditGap == 0 {
+						check(t, r, true)
+					}
+				}
+				check(t, r, true)
+
+				// Drain in chunks to the farthest pending event; stopping
+				// events end chunks early, so repeat until empty.
+				end := ref.Now()
+				for _, h := range r.live[0] {
+					if h.Scheduled() && h.e.time > end {
+						end = h.e.time
+					}
+				}
+				for ref.Len() > 0 {
+					run(r, end)
+					check(t, r, false)
+				}
+				check(t, r, true)
+			})
+		}
+	}
+
+	t.Run("stop-mid-chunk", func(t *testing.T) {
+		r := newRig()
+		schedule(r, 1, false)
+		schedule(r, 2, true)  // stops the chunk after it fires
+		schedule(r, 2, false) // same instant, next in line
+		schedule(r, 3, false)
+		run(r, 10)
+		check(t, r, true)
+		for k, s := range r.s {
+			name := runDrivers[k].name
+			if s.Now() != 2 || s.Fired() != 2 || s.Len() != 2 {
+				t.Errorf("%s after Stop: now %v, fired %d, pending %d; want 2, 2, 2", name, s.Now(), s.Fired(), s.Len())
+			}
+			if !r.live[k][2].Scheduled() {
+				t.Errorf("%s: the head after the stopping event lost its handle", name)
+			}
+		}
+		run(r, 10)
+		check(t, r, true)
+		for k, s := range r.s {
+			if s.Now() != 10 || s.Len() != 0 || r.live[k][2].Scheduled() {
+				t.Errorf("%s resumed: now %v, pending %d; want 10 and 0", runDrivers[k].name, s.Now(), s.Len())
+			}
+		}
+	})
+
+	t.Run("zero-horizon", func(t *testing.T) {
+		r := newRig()
+		for i := 0; i < 3; i++ {
+			schedule(r, 0, false)
+		}
+		schedule(r, 1, false)
+		run(r, 0)
+		check(t, r, true)
+		if s := r.s[0]; s.Fired() != 3 || s.Len() != 1 || s.Now() != 0 {
+			t.Fatalf("RunUntil(0): fired %d, pending %d, now %v; want 3, 1, 0", s.Fired(), s.Len(), s.Now())
+		}
+		run(r, 0.5)
+		schedule(r, 0.5, false)
+		schedule(r, 0.5, false)
+		run(r, 0.5)
+		check(t, r, true)
+		if s := r.s[0]; s.Fired() != 5 || s.Len() != 1 || s.Now() != 0.5 {
+			t.Fatalf("RunUntil(now): fired %d, pending %d, now %v; want 5, 1, 0.5", s.Fired(), s.Len(), s.Now())
+		}
+	})
 }

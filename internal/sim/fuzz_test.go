@@ -7,8 +7,8 @@ import (
 
 // FuzzSchedulerHeap drives the calendar-queue scheduler and the
 // reference heap scheduler side by side through a random interleaving of
-// At, After, Cancel, and Step operations decoded from the fuzz input,
-// checking after every operation that
+// At, After, Cancel, Step and RunUntil operations decoded from the fuzz
+// input, checking after every operation that
 //
 //   - both future-event lists are structurally sound (auditScheduler:
 //     heap order and index mapping for the heap; sorted bucket lists,
@@ -24,8 +24,9 @@ import (
 //   - non-finite event times are rejected by panic without corrupting
 //     either calendar.
 //
-// Scheduled times are quantized to small integers so that same-instant
-// collisions — the FIFO tie-break's interesting case — are common, and
+// Scheduled times and RunUntil horizons are quantized to small integers
+// so that same-instant collisions — the FIFO tie-break's interesting case
+// — are common and a horizon often lands exactly on an event time, and
 // every 16th delay lands far in the future to exercise the calendar
 // queue's overflow heap and window migration. Long insert or drain runs
 // in the input cross the calendar's slot-resize boundaries (count > 2·nb
@@ -59,6 +60,9 @@ func FuzzSchedulerHeap(f *testing.F) {
 		mixed = append(mixed, 1, byte(i%8), 3)
 	}
 	f.Add(mixed)
+	// RunUntil chunks (op 5): horizons on an event time, between event
+	// times, at the current time, and past a far-future event.
+	f.Add([]byte{0, 2, 0, 3, 1, 3, 0, 0x19, 5, 2, 5, 0, 5, 1, 0, 1, 5, 0x19, 5, 7})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cal := New()
@@ -138,7 +142,7 @@ func FuzzSchedulerHeap(f *testing.F) {
 		}
 
 		for i := 0; i < len(data); i++ {
-			switch data[i] % 5 {
+			switch data[i] % 6 {
 			case 0, 1: // schedule; quantized delay so time ties are common
 				var d byte
 				if i+1 < len(data) {
@@ -216,6 +220,22 @@ func FuzzSchedulerHeap(f *testing.F) {
 				}
 				if cal.Len() != before {
 					t.Fatalf("rejected times changed pending count %d -> %d", before, cal.Len())
+				}
+			case 5: // fire every event up to a horizon on both
+				var d byte
+				if i+1 < len(data) {
+					i++
+					d = data[i]
+				}
+				h := float64(d % 8)
+				if d%16 == 9 {
+					h = 1000 + float64(d)
+				}
+				until := cal.Now() + h
+				cal.RunUntil(until)
+				ref.RunUntil(until)
+				if cal.Now() != until {
+					t.Fatalf("clock %v after RunUntil(%v)", cal.Now(), until)
 				}
 			}
 			audit()

@@ -393,29 +393,21 @@ func (s *Scheduler) retire(e *Event) {
 	s.free = append(s.free, e)
 }
 
-// peek returns the earliest pending event without firing it, or nil.
-func (s *Scheduler) peek() *Event {
+// popUntil removes and returns the earliest pending event if its time
+// is at most t, or nil if there is none. It is the one head lookup per
+// fired event: both Step and RunUntil fire what it returns.
+func (s *Scheduler) popUntil(t float64) *Event {
 	if s.hp != nil {
-		return s.hp.min()
+		if e := s.hp.min(); e == nil || e.time > t {
+			return nil
+		}
+		return s.hp.pop()
 	}
-	return s.cal.peek()
+	return s.cal.popUntil(t)
 }
 
-// Step fires the single earliest pending event, advancing the clock to its
-// time. It reports whether an event was fired.
-func (s *Scheduler) Step() bool {
-	var e *Event
-	if s.hp != nil {
-		if s.hp.len() == 0 {
-			return false
-		}
-		e = s.hp.pop()
-	} else {
-		e = s.cal.pop()
-		if e == nil {
-			return false
-		}
-	}
+// fire advances the clock to a popped event's time and runs it.
+func (s *Scheduler) fire(e *Event) {
 	e.index = -1
 	s.now = e.time
 	action := e.action
@@ -427,31 +419,46 @@ func (s *Scheduler) Step() bool {
 	// reuses this record immediately (the common service-loop pattern).
 	s.retire(e)
 	action()
+}
+
+// Step fires the single earliest pending event, advancing the clock to its
+// time. It reports whether an event was fired. It pops and fires exactly
+// as one iteration of RunUntil does.
+func (s *Scheduler) Step() bool {
+	e := s.popUntil(math.Inf(1))
+	if e == nil {
+		return false
+	}
+	s.fire(e)
 	return true
 }
 
-// Run fires events until the calendar is empty or Stop is called.
-func (s *Scheduler) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
-	}
-}
+// Run fires events until the calendar is empty or Stop is called. The
+// clock stays at the last fired event.
+func (s *Scheduler) Run() { s.RunUntil(math.Inf(1)) }
 
 // RunUntil fires events with time <= t, then advances the clock to exactly
-// t. Events scheduled at t fire; later events stay pending.
+// t. Events scheduled at t fire; later events stay pending. Each iteration
+// pops the head it inspected and fires it, so an event costs one head
+// lookup. A +Inf horizon fires until the calendar is empty and leaves the
+// clock at the last fired event, as Run does; a NaN horizon panics, as a
+// NaN event time does in At.
 func (s *Scheduler) RunUntil(t float64) {
+	if math.IsNaN(t) {
+		panic("sim: RunUntil horizon is NaN")
+	}
 	if t < s.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) precedes current time %v", t, s.now))
 	}
 	s.stopped = false
 	for !s.stopped {
-		e := s.peek()
-		if e == nil || e.time > t {
+		e := s.popUntil(t)
+		if e == nil {
 			break
 		}
-		s.Step()
+		s.fire(e)
 	}
-	if !s.stopped && s.now < t {
+	if !s.stopped && s.now < t && !math.IsInf(t, 1) {
 		s.now = t
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -127,6 +128,49 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	}
 }
 
+// TestSchedulerRunUntilNonFiniteHorizon pins the horizon contract at
+// the edges of float64: a NaN horizon panics and leaves the scheduler
+// untouched, as a NaN event time does in At, and a +Inf horizon fires
+// every pending event but leaves the clock at the last one it fired.
+func TestSchedulerRunUntilNonFiniteHorizon(t *testing.T) {
+	for _, impl := range []Impl{Calendar, Heap} {
+		t.Run(impl.String(), func(t *testing.T) {
+			s := NewImpl(impl)
+			fired := 0
+			// A chain that reschedules itself a few times, then ends.
+			var tick Action
+			tick = func() {
+				if fired++; fired < 5 {
+					s.After(2, tick)
+				}
+			}
+			s.At(1, tick)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("RunUntil(NaN) did not panic")
+					}
+				}()
+				s.RunUntil(math.NaN())
+			}()
+			if fired != 0 || s.Len() != 1 || s.Now() != 0 {
+				t.Fatalf("RunUntil(NaN) changed state: fired %d, pending %d, now %v", fired, s.Len(), s.Now())
+			}
+			s.RunUntil(math.Inf(1))
+			if fired != 5 || s.Len() != 0 {
+				t.Errorf("RunUntil(+Inf) fired %d with %d pending, want 5 and 0", fired, s.Len())
+			}
+			if s.Now() != 9 {
+				t.Errorf("clock = %v after RunUntil(+Inf), want 9 (the last fired event)", s.Now())
+			}
+			s.RunUntil(math.Inf(1))
+			if s.Now() != 9 {
+				t.Errorf("clock = %v after RunUntil(+Inf) on an empty calendar, want 9", s.Now())
+			}
+		})
+	}
+}
+
 func TestStopHaltsRun(t *testing.T) {
 	s := New()
 	fired := 0
@@ -220,10 +264,11 @@ func TestRandomCancelQuick(t *testing.T) {
 }
 
 // TestCalendarInsertBehindCursor covers the inserts the calendar clamps
-// into the cursor's slot: RunUntil peeks, which moves the cursor past
-// empty buckets (or re-anchors the window at the overflow minimum) ahead
-// of the clock, and the next insert can then belong to a bucket the
-// cursor has already passed. Fire order must still match the heap's.
+// into the cursor's slot: RunUntil's last popUntil finds a head beyond
+// the horizon, having moved the cursor past empty buckets (or re-anchored
+// the window at the overflow minimum) ahead of the clock, and the next
+// insert can then belong to a bucket the cursor has already passed. Fire
+// order must still match the heap's.
 func TestCalendarInsertBehindCursor(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -252,6 +297,57 @@ func TestCalendarInsertBehindCursor(t *testing.T) {
 				t.Errorf("calendar fired %v, heap %v", fired[0], fired[1])
 			}
 		})
+	}
+}
+
+// TestCalendarPlaceBucketEnds drives one slot of a fresh calendar (width
+// 1, origin 0, so every time in [0, 1) maps to slot 0) through each case
+// of place: an empty slot, an append, an append on a same-time tie (the
+// later seq goes after), a prepend, and an interior walk. After each
+// insert it audits the calendar and checks where the event landed; at
+// the end the fire order must match the heap's.
+func TestCalendarPlaceBucketEnds(t *testing.T) {
+	cal, ref := NewImpl(Calendar), NewImpl(Heap)
+	var fired [2][]float64
+	cal.Observe(func(e *Event) { fired[0] = append(fired[0], e.time) })
+	ref.Observe(func(e *Event) { fired[1] = append(fired[1], e.time) })
+	nop := func() {}
+	for _, tc := range []struct {
+		name string
+		at   float64
+		pos  int // index the new event must occupy in slot 0's list
+	}{
+		{"empty slot", 0.5, 0},
+		{"append", 0.7, 1},
+		{"append on a same-time tie", 0.7, 2},
+		{"prepend", 0.2, 0},
+		{"interior walk", 0.6, 2},
+		{"interior walk on a same-time tie", 0.5, 2},
+		{"interior walk next to the head", 0.3, 1},
+	} {
+		h := cal.At(tc.at, nop)
+		ref.At(tc.at, nop)
+		auditCalendar(t, cal.cal)
+		pos := -1
+		n := 0
+		for e := cal.cal.slots[0].head; e != nil; e = e.next {
+			if e == h.e {
+				pos = n
+			}
+			n++
+		}
+		if pos != tc.pos {
+			t.Errorf("%s: event at %v sits at position %d of %d, want %d", tc.name, tc.at, pos, n, tc.pos)
+		}
+	}
+	if cal.cal.width != 1 || cal.cal.origin != 0 {
+		t.Fatalf("calendar geometry moved (width %v, origin %v): the slot-0 positions above are meaningless",
+			cal.cal.width, cal.cal.origin)
+	}
+	cal.Run()
+	ref.Run()
+	if !reflect.DeepEqual(fired[0], fired[1]) || !sort.Float64sAreSorted(fired[0]) {
+		t.Errorf("calendar fired %v, heap %v", fired[0], fired[1])
 	}
 }
 
@@ -352,6 +448,25 @@ func BenchmarkKernelChurnExp(b *testing.B) {
 				s.After(st.Exp(1), tick)
 			}
 			s.Run()
+		})
+	}
+}
+
+// BenchmarkKernelRunUntilMixed times one fired event of the same mix as
+// BenchmarkKernelChurnMixed, driven through RunUntil in chunks of one
+// time unit (about 200 events) as a model run drives it, rather than
+// through Step. The last chunk may overshoot b.N by under one chunk.
+func BenchmarkKernelRunUntilMixed(b *testing.B) {
+	for _, impl := range []Impl{Calendar, Heap} {
+		b.Run(impl.String(), func(b *testing.B) {
+			s := NewImpl(impl)
+			mixedLoad(s)
+			s.RunUntil(100)
+			end := s.Fired() + uint64(b.N)
+			b.ResetTimer()
+			for s.Fired() < end {
+				s.RunUntil(s.Now() + 1)
+			}
 		})
 	}
 }

@@ -9,6 +9,7 @@ package system
 
 import (
 	"fmt"
+	"math"
 
 	"dqalloc/internal/arrival"
 	"dqalloc/internal/fault"
@@ -267,6 +268,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("system: negative Warmup %v", c.Warmup)
 	case c.Measure <= 0:
 		return fmt.Errorf("system: Measure %v must be positive", c.Measure)
+	case math.IsNaN(c.Warmup) || math.IsNaN(c.Measure) || math.IsInf(c.Warmup+c.Measure, 0):
+		return fmt.Errorf("system: horizon Warmup %v + Measure %v is not finite", c.Warmup, c.Measure)
 	}
 	for _, cl := range c.Classes {
 		if err := cl.Validate(); err != nil {

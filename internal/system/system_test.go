@@ -54,6 +54,26 @@ func TestConfigValidateTable(t *testing.T) {
 	}
 }
 
+// TestConfigValidateNonFiniteHorizon pins that a NaN or infinite
+// horizon is a config error: the negativity checks alone let NaN
+// through, and Run would then fire events without end.
+func TestConfigValidateNonFiniteHorizon(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, h := range []struct{ warmup, measure float64 }{
+		{nan, 1000},
+		{0, nan},
+		{0, inf},
+		{inf, 1000},
+		{math.MaxFloat64, math.MaxFloat64}, // each finite, the sum is not
+	} {
+		cfg := Default()
+		cfg.Warmup, cfg.Measure = h.warmup, h.measure
+		if cfg.Validate() == nil {
+			t.Errorf("Warmup %v, Measure %v accepted", h.warmup, h.measure)
+		}
+	}
+}
+
 func TestInfoModeString(t *testing.T) {
 	if InfoPerfect.String() != "perfect" || InfoPeriodic.String() != "periodic" ||
 		InfoMode(0).String() != "unknown" {

@@ -28,7 +28,7 @@
 //     manager on, timing the rebuild/degraded-read hot path (crash
 //     wipes, deficit timers, fragment shipments, availability
 //     recounts).
-//   - serve/LERT/decide — the live allocation service's decision loop:
+//   - serve/LERT/decide — the live allocation service's decision core:
 //     a warmed serve.Core fed Report/Decide cycles, reported as
 //     decisions/sec (the events_per_sec column counts decisions).
 //
@@ -256,7 +256,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 
 	if ctx.Err() == nil && (all || *suite == "serve") {
-		// The live allocation service's decision loop, in decisions/sec.
+		// The live allocation service's decision core, in decisions/sec.
 		decisions := 200_000
 		if *quick {
 			decisions = 20_000

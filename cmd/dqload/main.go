@@ -5,7 +5,9 @@
 // decision and fall after an exponentially distributed synthetic
 // service time. That closes the feedback loop the paper's allocation
 // policies depend on — decisions change reported loads, which change
-// later decisions.
+// later decisions. Before the clock starts, every site reports and the
+// driver polls /readyz until the server is ready or -timeout elapses,
+// so a server that is itself still starting is not charged for it.
 //
 // The client tallies every outcome class (decided, fallback, shed,
 // unavailable, expired, transport error), tracks decision latency in a
@@ -126,12 +128,14 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	root := rng.NewStream(*seed)
 
 	// A site that has never reported starts with its breaker open, so
-	// every site reports once before the first request; otherwise the
-	// requests sent before the first report-period tick are refused as
-	// unavailable. Reporters then post every report period until the run
-	// context ends.
-	for i := range states {
-		postReport(client, *url, i, states[i])
+	// every site reports and the server answers /readyz before the clock
+	// starts; otherwise the requests sent before the first report-period
+	// tick, or before a server still starting is up, are refused. A
+	// server not ready within -timeout is driven anyway and the floor
+	// judges the run. Reporters then post every report period until the
+	// run context ends.
+	if !waitReady(ctx, client, *url, states, *timeout) {
+		fmt.Fprintf(w, "dqload: %s not ready after %v; starting anyway\n", *url, *timeout)
 	}
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
@@ -147,7 +151,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 				case <-runCtx.Done():
 					return
 				case <-tick.C:
-					postReport(client, *url, site, states[site])
+					postReport(runCtx, client, *url, site, states[site])
 				}
 			}
 		}(i)
@@ -318,17 +322,52 @@ func postDecide(client *http.Client, base string, class, home, sites int, deadli
 	return 0, false
 }
 
+// waitReady reports every site, then polls /readyz until it answers 200,
+// timeout elapses or ctx ends, and says whether the server became ready.
+// Every try reports again, so a server that comes up late still hears
+// from each site before the first request.
+func waitReady(ctx context.Context, client *http.Client, base string, states []*siteState, timeout time.Duration) bool {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	for {
+		for i, st := range states {
+			postReport(ctx, client, base, i, st)
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/readyz", nil)
+		if err != nil {
+			return false // a malformed -url: every request fails alike
+		}
+		if resp, err := client.Do(req); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return true
+			}
+		}
+		select {
+		case <-ctx.Done():
+			return false
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
 // postReport sends one site's current synthetic load; report loss is
 // tolerated silently — that is exactly the fault the server's staleness
 // and breaker machinery absorbs.
-func postReport(client *http.Client, base string, site int, st *siteState) {
+func postReport(ctx context.Context, client *http.Client, base string, site int, st *siteState) {
 	rep := serve.ReportRequest{
 		Site:   site,
 		NumIO:  int(max64(0, st.numIO.Load())),
 		NumCPU: int(max64(0, st.numCPU.Load())),
 	}
 	body, _ := json.Marshal(rep)
-	resp, err := client.Post(base+"/v1/report", "application/json", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/report", bytes.NewReader(body))
+	if err != nil {
+		return
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := client.Do(req)
 	if err != nil {
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,5 +181,48 @@ func TestRunInterruptFlushesPartialResults(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "availability=") {
 		t.Errorf("partial summary not flushed: %q", buf.String())
+	}
+}
+
+// TestRunWaitsForLateReadiness: a server that refuses everything while
+// it starts, and comes up only after the driver has begun, must still
+// see no refused decide. The driver reports every site and polls
+// /readyz before its clock starts, so the first request already finds
+// the server up and every site reported.
+func TestRunWaitsForLateReadiness(t *testing.T) {
+	cfg := serve.Default()
+	cfg.NumSites = 3
+	cfg.Policy = policy.BNQ
+	srv, err := serve.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var up atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !up.Load() {
+			http.Error(w, "starting", http.StatusServiceUnavailable)
+			return
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	time.AfterFunc(200*time.Millisecond, func() { up.Store(true) })
+	var buf bytes.Buffer
+	err = run(context.Background(), []string{
+		"-url", ts.URL, "-sites", "3", "-rate", "300", "-duration", "300ms",
+		"-report-period", "1s", "-service-mean", "5ms", "-floor", "1",
+	}, &buf)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, buf.String())
+	}
+	out := buf.String()
+	if strings.Contains(out, "sent=0 ") || !strings.Contains(out, " unavailable=0 ") {
+		t.Errorf("late server refused requests: %q", out)
+	}
+	if strings.Contains(out, "not ready") {
+		t.Errorf("driver gave up waiting: %q", out)
 	}
 }

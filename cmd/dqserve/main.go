@@ -3,7 +3,7 @@
 // through the policy/Tuning stack, and wraps every path in the
 // robustness stack of internal/serve — per-request deadlines, staleness
 // aging with round-robin fallback, per-site circuit breakers,
-// bounded-queue backpressure, health/readiness endpoints, and graceful
+// bounded-wait backpressure, health/readiness endpoints, and graceful
 // drain on SIGINT/SIGTERM.
 //
 // Endpoints:
@@ -65,7 +65,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		rejects    = fs.Int("reject-threshold", def.RejectThreshold, "consecutive rejecting reports to open a breaker")
 		slowLat    = fs.Duration("slow-latency", def.SlowLatency, "report latency_ms above this demotes the site to half-open probation (0 = off)")
 		admitMax   = fs.Int("admit-max", 0, "per-site committed-query cap (0 = unbounded)")
-		queueBound = fs.Int("queue-bound", def.QueueBound, "decision queue bound (beyond it requests are shed)")
+		queueBound = fs.Int("queue-bound", def.QueueBound, "decides that may wait for the decision token (beyond it requests are shed)")
 		deadline   = fs.Duration("deadline", def.DefaultDeadline, "default per-request decision deadline")
 		maxDl      = fs.Duration("max-deadline", def.MaxDeadline, "clamp on client-supplied deadlines")
 		hyst       = fs.Float64("hyst", 0, "anti-herd hysteresis margin in [0,1)")
@@ -132,18 +132,17 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	case <-ctx.Done():
 	}
 
-	// Graceful drain: stop readiness, let in-flight requests finish,
-	// then stop the decision loop.
+	// Graceful drain: stop readiness and refuse new decides, let
+	// in-flight requests finish, then wait for the last decide.
 	fmt.Fprintln(w, "dqserve: draining")
 	srv.BeginDrain()
 	dctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := hs.Shutdown(dctx); err != nil {
 		// Drain budget blown: force-close the listener and connections.
-		// Handlers may still be mid-flight, but enqueue refuses once the
-		// queue is closed (serve.Server.enqueue), so stopping the
-		// decision loop now is safe; give it a fresh beat to flush the
-		// backlog since dctx has already expired.
+		// Handlers may still be mid-flight; draining refuses every new
+		// decide, and each admitted one is bounded by its deadline, so
+		// give them a fresh beat to answer since dctx has expired.
 		hs.Close()
 		fctx, fcancel := context.WithTimeout(context.Background(), time.Second)
 		defer fcancel()

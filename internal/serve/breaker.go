@@ -55,8 +55,8 @@ func (s BreakerState) String() string {
 // cooldown) unless a clean report (Rejected == 0 and latency under the
 // threshold) arrives, which closes the breaker from any state.
 //
-// OnReport is called from handler goroutines and CanRoute/RoutedProbe
-// from the decision loop; one mutex guards the set.
+// OnReport is called from report handlers and CanRoute/RoutedProbe
+// from the decide that holds the decision token; one mutex guards the set.
 type breakerSet struct {
 	mu        sync.Mutex
 	gap       time.Duration

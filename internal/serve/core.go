@@ -44,11 +44,11 @@ func (o Outcome) String() string {
 }
 
 // Core is the single-threaded decision engine: the policy stack from the
-// simulator wired to the live table and breakers. Exactly one goroutine
-// may call Decide (the policy selector's cursor state and random streams
-// are not concurrency-safe, by design — determinism needs a serial
-// decision order); Table ingestion and breaker report feedback are safe
-// from other goroutines.
+// simulator wired to the live table and breakers. Callers serialize
+// Decide (the policy selector's cursor state and random streams are not
+// concurrency-safe, by design — determinism needs a serial decision
+// order; Server holds its decision token across each call); Table
+// ingestion and breaker report feedback are safe from any goroutine.
 //
 // Random streams: the root stream is rng.NewStream(cfg.Seed) and the
 // policy consumes root.Child(1) — parity tests reconstruct the sim-mode
@@ -132,9 +132,9 @@ func (c *Core) Report(site, numIO, numCPU int, cpuWork, ioWork float64, rejected
 	return nil
 }
 
-// Decide chooses the execution site for q at time now. Only the decision
-// loop may call it. The returned site is policy.NoSite unless the
-// outcome is OutcomeDecided or OutcomeFallback.
+// Decide chooses the execution site for q at time now. Calls must not
+// overlap; callers serialize them. The returned site is policy.NoSite
+// unless the outcome is OutcomeDecided or OutcomeFallback.
 func (c *Core) Decide(q *workload.Query, now time.Time) (int, Outcome) {
 	c.table.BeginDecision(now)
 	anyUp, anyFresh := false, false

@@ -12,16 +12,17 @@
 // selections (see parity_test.go), so policies tuned offline carry over
 // unchanged.
 //
-// Layering (one goroutine owns all mutable decision state):
+// Layering (one decision token serializes all mutable decision state):
 //
-//	HTTP handlers ──queue──▶ decision loop ──▶ Core.Decide
-//	      │                                        │
-//	      └── reports ──▶ LiveTable / breakers ◀───┘
+//	decide handler ──token──▶ Core.Decide
+//	      │                        │
+//	      └── reports ──▶ LiveTable / breakers
 //
-// Handlers decode, validate, and enqueue; the single decision loop runs
-// the policy (whose selector state and random streams are deliberately
-// not concurrency-safe, exactly like the simulator's) and resolves each
-// request exactly once even when it races its deadline.
+// Each decide handler decodes, validates, takes the one-slot decision
+// token and runs the policy itself (whose selector state and random
+// streams are deliberately not concurrency-safe, exactly like the
+// simulator's), so every request resolves exactly once, on the goroutine
+// that answers it, even when it races its deadline.
 package serve
 
 import (
@@ -86,8 +87,8 @@ type Config struct {
 	// the serving analogue of the simulator's admission control.
 	AdmitMax int
 
-	// QueueBound bounds the decision queue; requests beyond it are shed
-	// immediately with 429 + Retry-After.
+	// QueueBound bounds the decides waiting for the decision token;
+	// requests beyond it are shed immediately with 429 + Retry-After.
 	QueueBound int
 	// DefaultDeadline applies to decide requests that carry none;
 	// MaxDeadline clamps client-supplied deadlines.

@@ -14,28 +14,6 @@ import (
 	"dqalloc/internal/workload"
 )
 
-// request resolution states: exactly one of the decision loop and the
-// waiting handler resolves each request, via CAS.
-const (
-	resolvePending = iota
-	resolveDecided // the loop resolved it (any Outcome)
-	resolveExpired // the handler's deadline fired first
-)
-
-// decideReq is one queued decision.
-type decideReq struct {
-	ctx      context.Context
-	q        workload.Query
-	enqueued time.Time
-	resolved atomic.Int32
-	done     chan decideResult // buffered, cap 1
-}
-
-type decideResult struct {
-	site    int
-	outcome Outcome
-}
-
 // Stats is a point-in-time snapshot of the service counters. The
 // decide counters conserve: Requests = Decided + Fallback + NoCapacity
 // + Unavailable + Shed + Expired + Malformed + Draining.
@@ -53,9 +31,10 @@ type Stats struct {
 	Reports    uint64 `json:"reports"`
 	BadReports uint64 `json:"bad_reports"`
 
-	// LateDecides counts decisions the loop completed after the waiting
-	// handler had already timed out; they are Expired above (each
-	// request resolves once) and tracked here for observability.
+	// LateDecides counts decisions committed to the table that no client
+	// received. It is structurally 0: the goroutine that decides is the
+	// one that answers, and a decide expires only before Core.Decide
+	// runs. It stays for the clients that read it.
 	LateDecides uint64 `json:"late_decides"`
 
 	BreakerOpens uint64   `json:"breaker_opens"`
@@ -65,9 +44,10 @@ type Stats struct {
 	// latency feedback (gray-failure detections).
 	SlowProbations uint64 `json:"slow_probations"`
 
+	// QueueDepth is the number of decides waiting for the decision token.
 	QueueDepth int `json:"queue_depth"`
 
-	// Decision latency quantiles in microseconds (enqueue → resolve),
+	// Decision latency quantiles in microseconds (decoded → resolved),
 	// from a log-bucketed histogram (≤2% relative error).
 	LatencyP50US float64 `json:"latency_p50_us"`
 	LatencyP99US float64 `json:"latency_p99_us"`
@@ -102,19 +82,25 @@ var laneNames = [numLanes]string{
 	"decided", "fallback", "no_capacity", "unavailable", "expired",
 }
 
-// Server is the dqserve HTTP layer: handlers decode and enqueue, a
-// single decision loop decides, and every request resolves exactly once.
+// Server is the dqserve HTTP layer. Each decide handler runs Core.Decide
+// itself while it holds the one-slot decision token, so decisions are
+// serial, in arrival order, and every request resolves exactly once on
+// the goroutine that answers it.
 type Server struct {
 	cfg   Config
 	core  *Core
 	clock func() time.Time
 	mux   *http.ServeMux
 
-	queue    chan *decideReq
-	qmu      sync.RWMutex // pairs enqueue sends with Shutdown's close
-	loopDone chan struct{}
+	// token is the decision token: a decide holds it by filling the one
+	// buffer slot and hands it back by draining it. A blocked sender
+	// takes a freed slot in FIFO order.
+	token    chan struct{}
+	waiting  atomic.Int64 // decides blocked on the token
+	active   atomic.Int64 // decides admitted and not yet answered
 	draining atomic.Bool
-	closed   atomic.Bool
+	idle     chan struct{} // closed once draining with no active decide
+	idleOnce sync.Once
 
 	mu    sync.Mutex
 	st    Stats
@@ -122,19 +108,19 @@ type Server struct {
 	lanes [numLanes]*stats.LogHistogram
 }
 
-// NewServer builds the service and starts its decision loop. Callers
-// must eventually call Shutdown (or Close) to stop the loop.
+// NewServer builds the service. It starts no goroutine; Shutdown (or
+// Close) drains it.
 func NewServer(cfg Config) (*Server, error) {
 	core, err := NewCore(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		core:     core,
-		clock:    cfg.clock(),
-		queue:    make(chan *decideReq, cfg.QueueBound),
-		loopDone: make(chan struct{}),
+		cfg:   cfg,
+		core:  core,
+		clock: cfg.clock(),
+		token: make(chan struct{}, 1),
+		idle:  make(chan struct{}),
 	}
 	s.initLatencyHists()
 	s.mux = http.NewServeMux()
@@ -143,7 +129,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	go s.loop()
 	return s, nil
 }
 
@@ -154,27 +139,24 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Core() *Core { return s.core }
 
 // BeginDrain flips the server into draining: readiness reports 503 and
-// new decide requests are refused, while queued and in-flight requests
-// still complete. Idempotent.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
+// new decide requests are refused, while admitted decides still
+// complete. Idempotent.
+func (s *Server) BeginDrain() {
+	s.draining.Store(true)
+	if s.active.Load() == 0 {
+		s.idleOnce.Do(func() { close(s.idle) })
+	}
+}
 
 // Draining reports whether BeginDrain (or Shutdown) has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Shutdown gracefully stops the decision loop: drain mode, then the
-// queue is closed and the loop exits once the backlog is resolved.
-// Handlers still in flight are safe: enqueue holds qmu.RLock across its
-// send and refuses once closed is set, so the close below can never
-// race a send. Idempotent; the context bounds the wait for the backlog.
+// Shutdown drains the server and returns once every admitted decide has
+// answered. Idempotent; the context bounds the wait.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.BeginDrain()
-	if s.closed.CompareAndSwap(false, true) {
-		s.qmu.Lock()
-		close(s.queue)
-		s.qmu.Unlock()
-	}
 	select {
-	case <-s.loopDone:
+	case <-s.idle:
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("serve: shutdown: %w", ctx.Err())
@@ -188,66 +170,74 @@ func (s *Server) Close() error {
 	return s.Shutdown(ctx)
 }
 
-// loop is the single decision goroutine: it owns the Core and resolves
-// queued requests in FIFO order until the queue is closed and empty.
-func (s *Server) loop() {
-	defer close(s.loopDone)
-	for req := range s.queue {
-		// A request whose deadline passed while queued is expired
-		// without deciding — its handler may have already resolved it.
-		if req.ctx.Err() != nil {
-			if req.resolved.CompareAndSwap(resolvePending, resolveExpired) {
-				s.note(&s.st.Expired, laneExpired, req)
-			}
-			continue
-		}
-		site, out := s.core.Decide(&req.q, s.clock())
-		if req.resolved.CompareAndSwap(resolvePending, resolveDecided) {
-			switch out {
-			case OutcomeDecided:
-				s.note(&s.st.Decided, laneDecided, req)
-			case OutcomeFallback:
-				s.note(&s.st.Fallback, laneFallback, req)
-			case OutcomeNoCapacity:
-				s.note(&s.st.NoCapacity, laneNoCapacity, req)
-			case OutcomeNoSites:
-				s.note(&s.st.Unavailable, laneUnavailable, req)
-			}
-			req.done <- decideResult{site, out}
-		} else {
-			// The handler timed out mid-decision and owns the Expired
-			// count; the optimistic table delta it committed washes out
-			// at the site's next report.
-			s.mu.Lock()
-			s.st.LateDecides++
-			s.mu.Unlock()
-		}
+// admit counts a decide as active unless the server is draining. Every
+// admitted decide calls leave once it has answered. The count is raised
+// before draining is read and BeginDrain sets draining before it reads
+// the count, so one of the two sees the other: a decide admitted while
+// Shutdown waits always finishes before Shutdown returns.
+func (s *Server) admit() bool {
+	s.active.Add(1)
+	if s.draining.Load() {
+		s.leave()
+		return false
+	}
+	return true
+}
+
+// leave ends an admitted decide; the last one out of a draining server
+// releases Shutdown.
+func (s *Server) leave() {
+	if s.active.Add(-1) == 0 && s.draining.Load() {
+		s.idleOnce.Do(func() { close(s.idle) })
 	}
 }
 
-// enqueue status: queued, shed (queue full), or refused (queue closed).
+// acquire results: the token is held, or the decide resolves without it.
 const (
-	enqueueOK = iota
-	enqueueFull
-	enqueueClosed
+	tokenHeld = iota
+	tokenShed
+	tokenExpired
 )
 
-// enqueue offers req to the decision queue. The read-lock pairs with
-// Shutdown's write-lock around close(queue): closed is set before the
-// close and checked under the lock here, so a handler racing Shutdown
-// observes enqueueClosed instead of sending on a closed channel.
-func (s *Server) enqueue(req *decideReq) int {
-	s.qmu.RLock()
-	defer s.qmu.RUnlock()
-	if s.closed.Load() {
-		return enqueueClosed
-	}
+// acquire takes the decision token for a decide due by the real-clock
+// time due. A free token is taken without blocking or arming a timer.
+// Otherwise the decide waits its turn, unless QueueBound decides already
+// wait (shed) or its deadline or request context ends first (expired).
+// A decide that holds the token past its deadline hands it back
+// undecided and is expired too.
+func (s *Server) acquire(ctx context.Context, due time.Time) int {
 	select {
-	case s.queue <- req:
-		return enqueueOK
+	case s.token <- struct{}{}:
 	default:
-		return enqueueFull
+		if s.waiting.Add(1) > int64(s.cfg.QueueBound) {
+			s.waiting.Add(-1)
+			return tokenShed
+		}
+		timer := time.NewTimer(time.Until(due))
+		held := false
+		select {
+		case s.token <- struct{}{}:
+			held = true
+		case <-timer.C:
+		case <-ctx.Done():
+		}
+		timer.Stop()
+		s.waiting.Add(-1)
+		if !held {
+			return tokenExpired
+		}
 	}
+	if ctx.Err() != nil || !time.Now().Before(due) {
+		<-s.token
+		return tokenExpired
+	}
+	return tokenHeld
+}
+
+// decide runs Core.Decide and hands the token back, even if it panics.
+func (s *Server) decide(q *workload.Query) (int, Outcome) {
+	defer func() { <-s.token }()
+	return s.core.Decide(q, s.clock())
 }
 
 // initLatencyHists builds the global and per-outcome latency histograms:
@@ -259,10 +249,10 @@ func (s *Server) initLatencyHists() {
 	}
 }
 
-// note bumps one resolution counter and records the request's
-// enqueue→resolve latency, globally and in the outcome's lane.
-func (s *Server) note(counter *uint64, lane int, req *decideReq) {
-	lat := s.clock().Sub(req.enqueued)
+// note bumps one resolution counter and records the latency of a
+// decide decoded at start, globally and in the outcome's lane.
+func (s *Server) note(counter *uint64, lane int, start time.Time) {
+	lat := s.clock().Sub(start)
 	us := float64(lat.Microseconds()) + 1 // keep zero out of the log buckets
 	s.mu.Lock()
 	*counter++
@@ -271,7 +261,7 @@ func (s *Server) note(counter *uint64, lane int, req *decideReq) {
 	s.mu.Unlock()
 }
 
-// bump increments one counter not tied to a queued request.
+// bump increments one counter that records no latency.
 func (s *Server) bump(counter *uint64) {
 	s.mu.Lock()
 	*counter++
@@ -302,11 +292,12 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.bump(&s.st.Requests)
-	if s.draining.Load() {
+	if !s.admit() {
 		s.bump(&s.st.Draining)
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
+	defer s.leave()
 	body, err := readBody(w, r)
 	if err != nil {
 		s.bump(&s.st.Malformed)
@@ -327,68 +318,39 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 			deadline = s.cfg.MaxDeadline
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-
-	req := &decideReq{
-		ctx:      ctx,
-		enqueued: s.clock(),
-		done:     make(chan decideResult, 1),
-	}
-	req.q = workload.Query{Class: dr.Class, Home: dr.Home, Exec: dr.Home,
+	start := s.clock()
+	due := time.Now().Add(deadline)
+	q := workload.Query{Class: dr.Class, Home: dr.Home, Exec: dr.Home,
 		EstReads: dr.EstReads, EstPageCPU: dr.EstPageCPU}
-	s.cfg.classMeans(&req.q)
+	s.cfg.classMeans(&q)
 
-	switch s.enqueue(req) {
-	case enqueueOK:
-	case enqueueClosed:
-		// Shutdown closed the queue between the draining check above
-		// and the send; answer as a drain refusal.
-		s.bump(&s.st.Draining)
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	default: // enqueueFull
-		// Backpressure: the decision queue is full; shed now rather
-		// than let latency collapse for everyone.
+	switch s.acquire(r.Context(), due) {
+	case tokenShed:
+		// Backpressure: QueueBound decides already wait; shed now
+		// rather than let latency collapse for everyone.
 		s.bump(&s.st.Shed)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "decision queue full")
 		return
-	}
-
-	select {
-	case res := <-req.done:
-		s.writeDecision(w, res)
-	case <-ctx.Done():
-		if req.resolved.CompareAndSwap(resolvePending, resolveExpired) {
-			s.note(&s.st.Expired, laneExpired, req)
-			writeError(w, http.StatusGatewayTimeout, "decision deadline exceeded")
-			return
-		}
-		// The loop won the race. The resolution is terminal, so the
-		// CAS losing means it is readable: decided means a result is
-		// (or is about to be) in the buffered channel; expired means
-		// the loop saw the dead context at dequeue, took the Expired
-		// count, and will never send — receiving would hang forever.
-		if req.resolved.Load() == resolveDecided {
-			s.writeDecision(w, <-req.done)
-			return
-		}
+	case tokenExpired:
+		s.note(&s.st.Expired, laneExpired, start)
 		writeError(w, http.StatusGatewayTimeout, "decision deadline exceeded")
+		return
 	}
-}
-
-// writeDecision maps a loop resolution to its HTTP response.
-func (s *Server) writeDecision(w http.ResponseWriter, res decideResult) {
-	switch res.outcome {
+	site, out := s.decide(&q)
+	switch out {
 	case OutcomeDecided:
-		writeJSON(w, http.StatusOK, DecideResponse{Site: res.site, Mode: "policy", Policy: s.core.Policy()})
+		s.note(&s.st.Decided, laneDecided, start)
+		writeJSON(w, http.StatusOK, DecideResponse{Site: site, Mode: "policy", Policy: s.core.Policy()})
 	case OutcomeFallback:
-		writeJSON(w, http.StatusOK, DecideResponse{Site: res.site, Mode: "fallback", Policy: s.core.Policy()})
+		s.note(&s.st.Fallback, laneFallback, start)
+		writeJSON(w, http.StatusOK, DecideResponse{Site: site, Mode: "fallback", Policy: s.core.Policy()})
 	case OutcomeNoCapacity:
+		s.note(&s.st.NoCapacity, laneNoCapacity, start)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "all candidate sites at admission cap")
 	default: // OutcomeNoSites
+		s.note(&s.st.Unavailable, laneUnavailable, start)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "no routable sites")
 	}
@@ -444,7 +406,7 @@ func (s *Server) Stats() Stats {
 	st.Breakers = s.core.Breakers()
 	st.BreakerOpens = s.core.BreakerOpens()
 	st.SlowProbations = s.core.SlowProbations()
-	st.QueueDepth = len(s.queue)
+	st.QueueDepth = int(s.waiting.Load())
 	return st
 }
 

@@ -181,113 +181,143 @@ func TestServerDeadlineExpiresRequest(t *testing.T) {
 	}
 }
 
-// TestServerBackpressureSheds exercises the queue-full path with a
-// hand-built server whose decision loop never runs.
-func TestServerBackpressureSheds(t *testing.T) {
-	cfg := Default()
-	cfg.NumSites = 3
-	cfg.Policy = policy.BNQ
-	cfg.QueueBound = 1
-	cfg.DefaultDeadline = 30 * time.Millisecond
-	core, err := NewCore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &Server{
-		cfg:      cfg,
-		core:     core,
-		clock:    time.Now,
-		queue:    make(chan *decideReq, cfg.QueueBound),
-		loopDone: make(chan struct{}),
-	}
-	s.initLatencyHists()
-	// First request occupies the only queue slot and times out there.
-	first := make(chan int, 1)
+// decideAsync serves one decide on the handler in the background and
+// delivers the finished recorder.
+func decideAsync(srv *Server, r *http.Request) <-chan *httptest.ResponseRecorder {
+	done := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
 		rec := httptest.NewRecorder()
-		s.handleDecide(rec, httptest.NewRequest(http.MethodPost, "/v1/decide",
-			strings.NewReader(`{"class":0,"home":0}`)))
-		first <- rec.Code
+		srv.Handler().ServeHTTP(rec, r)
+		done <- rec
 	}()
-	deadline := time.Now().Add(time.Second)
-	for len(s.queue) == 0 {
+	return done
+}
+
+func decideRequest(body string) *http.Request {
+	return httptest.NewRequest(http.MethodPost, "/v1/decide", strings.NewReader(body))
+}
+
+// waitQueueDepth waits until n decides wait for the decision token.
+func waitQueueDepth(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.Stats().QueueDepth != n {
 		if time.Now().After(deadline) {
-			t.Fatal("first request never enqueued")
+			t.Fatalf("queue depth %d, want %d", srv.Stats().QueueDepth, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Second request finds the queue full: shed immediately.
+}
+
+// committed sums the table's committed queries over every site: it
+// moves only when Core.Decide commits a decision.
+func committed(srv *Server) int {
+	n := 0
+	for s := 0; s < srv.cfg.NumSites; s++ {
+		n += srv.core.Table().Committed(s)
+	}
+	return n
+}
+
+// TestServerBackpressureSheds holds the decision token: QueueBound
+// decides wait for it, the next is shed at once with 429 and
+// Retry-After, and the waiters are decided once the token is free.
+func TestServerBackpressureSheds(t *testing.T) {
+	srv, ts, _ := startServer(t, func(c *Config) {
+		c.QueueBound = 2
+		c.DefaultDeadline = 5 * time.Second
+		c.MaxDeadline = 5 * time.Second
+	})
+	for s := 0; s < 3; s++ {
+		sendReport(t, ts.URL, s, 0, 0, 0)
+	}
+	srv.token <- struct{}{}
+	var waiters []<-chan *httptest.ResponseRecorder
+	for i := 0; i < 2; i++ {
+		waiters = append(waiters, decideAsync(srv, decideRequest(`{"class":0,"home":0}`)))
+		waitQueueDepth(t, srv, i+1)
+	}
 	rec := httptest.NewRecorder()
-	s.handleDecide(rec, httptest.NewRequest(http.MethodPost, "/v1/decide",
-		strings.NewReader(`{"class":0,"home":0}`)))
+	srv.Handler().ServeHTTP(rec, decideRequest(`{"class":0,"home":0}`))
 	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("queue-full decide: status %d, want 429", rec.Code)
+		t.Fatalf("decide beyond QueueBound: status %d, want 429", rec.Code)
 	}
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if code := <-first; code != http.StatusGatewayTimeout {
-		t.Fatalf("queued request: status %d, want 504", code)
+	<-srv.token
+	for _, w := range waiters {
+		if rec := <-w; rec.Code != http.StatusOK {
+			t.Errorf("waiter: status %d (%s), want 200", rec.Code, rec.Body)
+		}
 	}
-	st := s.Stats()
-	if st.Shed != 1 || st.Expired != 1 || st.Requests != 2 {
+	st := srv.Stats()
+	if st.Shed != 1 || st.Decided != 2 || st.Requests != 3 || st.QueueDepth != 0 {
 		t.Errorf("stats = %+v", st)
 	}
 }
 
-// TestServerHandlerDoesNotHangWhenLoopExpiresRequest pins the loss side
-// of the expiry race: when the decision loop dequeues a request whose
-// context is already dead, it claims it as expired without ever sending
-// on req.done — the waiting handler must answer 504, not block forever
-// on the channel.
-func TestServerHandlerDoesNotHangWhenLoopExpiresRequest(t *testing.T) {
-	cfg := Default()
-	cfg.NumSites = 3
-	cfg.Policy = policy.BNQ
-	// Long deadlines so only the test's cancel wakes the handler.
-	cfg.DefaultDeadline = 5 * time.Second
-	cfg.MaxDeadline = 5 * time.Second
-	core, err := NewCore(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestServerWaiterExpiresWithoutDeciding: a decide whose deadline
+// passes while another holds the token answers 504, counts once as
+// Expired and never reaches Core.Decide; so does one whose deadline has
+// passed by the time it takes a free token.
+func TestServerWaiterExpiresWithoutDeciding(t *testing.T) {
+	srv, ts, _ := startServer(t, nil)
+	for s := 0; s < 3; s++ {
+		sendReport(t, ts.URL, s, 0, 0, 0)
 	}
-	s := &Server{
-		cfg:      cfg,
-		core:     core,
-		clock:    time.Now,
-		queue:    make(chan *decideReq, cfg.QueueBound),
-		loopDone: make(chan struct{}),
+	srv.token <- struct{}{}
+	rec := <-decideAsync(srv, decideRequest(`{"class":0,"home":0,"deadline_ms":20}`))
+	<-srv.token
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("waiter past its deadline: status %d, want 504", rec.Code)
 	}
-	s.initLatencyHists()
+	rec = <-decideAsync(srv, decideRequest(`{"class":0,"home":0,"deadline_ms":0.000001}`))
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("deadline passed at a free token: status %d, want 504", rec.Code)
+	}
+	st := srv.Stats()
+	if st.Expired != 2 || st.Requests != 2 || st.LatencyByOutcome["expired"].Count != 2 {
+		t.Errorf("stats = %+v", st)
+	}
+	if n := committed(srv); n != 0 {
+		t.Errorf("expired decides committed %d queries, want 0", n)
+	}
+}
+
+// TestServerHandlerDoesNotHangWhenWaiterCancelled: a decide waiting for
+// the token whose request context is cancelled (the client went away)
+// answers 504 at once instead of waiting out its deadline, and is
+// never decided.
+func TestServerHandlerDoesNotHangWhenWaiterCancelled(t *testing.T) {
+	srv, ts, _ := startServer(t, func(c *Config) {
+		// Long deadlines so only the cancel can wake the waiter.
+		c.DefaultDeadline = 5 * time.Second
+		c.MaxDeadline = 5 * time.Second
+	})
+	for s := 0; s < 3; s++ {
+		sendReport(t, ts.URL, s, 0, 0, 0)
+	}
+	srv.token <- struct{}{}
+	defer func() { <-srv.token }()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r := httptest.NewRequest(http.MethodPost, "/v1/decide",
-		strings.NewReader(`{"class":0,"home":0}`)).WithContext(ctx)
-	code := make(chan int, 1)
-	go func() {
-		rec := httptest.NewRecorder()
-		s.handleDecide(rec, r)
-		code <- rec.Code
-	}()
-	// Play the loop's expired branch: claim the queued request as
-	// expired, never sending a result.
-	var req *decideReq
-	select {
-	case req = <-s.queue:
-	case <-time.After(2 * time.Second):
-		t.Fatal("request never enqueued")
-	}
-	if !req.resolved.CompareAndSwap(resolvePending, resolveExpired) {
-		t.Fatal("request resolved before the test claimed it")
-	}
+	done := decideAsync(srv, decideRequest(`{"class":0,"home":0}`).WithContext(ctx))
+	waitQueueDepth(t, srv, 1)
 	cancel()
 	select {
-	case c := <-code:
-		if c != http.StatusGatewayTimeout {
-			t.Fatalf("handler status %d, want 504", c)
+	case rec := <-done:
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("cancelled waiter: status %d, want 504", rec.Code)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("handler hung after losing the expiry race to the loop")
+		t.Fatal("cancelled waiter hung")
+	}
+	if st := srv.Stats(); st.Expired != 1 || st.QueueDepth != 0 {
+		t.Errorf("stats = %+v", st)
+	}
+	if n := committed(srv); n != 0 {
+		t.Errorf("cancelled decide committed %d queries, want 0", n)
 	}
 }
 
@@ -341,6 +371,15 @@ func TestServerDrainAndShutdown(t *testing.T) {
 	for s := 0; s < 3; s++ {
 		sendReport(t, ts.URL, s, 0, 0, 0)
 	}
+	// One decide is in flight, waiting for the token, when drain begins.
+	srv.token <- struct{}{}
+	inflight := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		srv.Handler().ServeHTTP(inflight, decideRequest(`{"class":0,"home":0}`))
+		close(served)
+	}()
+	waitQueueDepth(t, srv, 1)
 	srv.BeginDrain()
 	resp, err := http.Get(ts.URL + "/readyz")
 	if err != nil || resp.StatusCode != http.StatusServiceUnavailable {
@@ -355,17 +394,26 @@ func TestServerDrainAndShutdown(t *testing.T) {
 	if st.Draining != 1 {
 		t.Errorf("draining = %d, want 1", st.Draining)
 	}
-	// Shutdown is idempotent and leaves the loop stopped.
+	// Shutdown waits for the in-flight decide, bounded by its context.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err == nil {
+		t.Fatal("Shutdown returned with a decide in flight")
+	}
+	<-srv.token
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Shutdown returned, so the in-flight decide has answered: its
+	// response was written before Shutdown could return.
+	var dr DecideResponse
+	if err := json.Unmarshal(inflight.Body.Bytes(), &dr); err != nil || inflight.Code != http.StatusOK {
+		t.Errorf("in-flight decide after Shutdown: status %d, body %q", inflight.Code, inflight.Body)
+	}
+	<-served
+	// Shutdown is idempotent.
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
-	}
-	select {
-	case <-srv.loopDone:
-	default:
-		t.Error("decision loop still running after Shutdown")
 	}
 }
 
@@ -390,5 +438,100 @@ func TestServerStatsConservation(t *testing.T) {
 	}
 	if st.Requests != 22 {
 		t.Errorf("requests = %d, want 22", st.Requests)
+	}
+}
+
+// TestServerConcurrentDecides runs decides from 8 goroutines against one
+// server while reports arrive. The counters must conserve and Decided
+// must equal the policy decisions the clients received; under -race,
+// any overlap of two Core.Decide calls is reported on the core's
+// unsynchronized policy state.
+func TestServerConcurrentDecides(t *testing.T) {
+	srv, _, _ := startServer(t, func(c *Config) {
+		c.DefaultDeadline = 5 * time.Second
+		c.MaxDeadline = 5 * time.Second
+	})
+	h := srv.Handler()
+	report := func(site int) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/report",
+			strings.NewReader(fmt.Sprintf(`{"site":%d,"num_io":%d,"num_cpu":1}`, site, site))))
+		if rec.Code != http.StatusNoContent {
+			t.Errorf("report: status %d", rec.Code)
+		}
+	}
+	for s := 0; s < 3; s++ {
+		report(s)
+	}
+
+	const workers, perWorker = 8, 200
+	stop := make(chan struct{})
+	reporterDone := make(chan struct{})
+	go func() {
+		defer close(reporterDone)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				report(i % 3)
+			}
+		}
+	}()
+	var (
+		wg         sync.WaitGroup
+		mu         sync.Mutex
+		policyOKs  uint64
+		fallbackOK uint64
+	)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var pol, fb uint64
+			for i := 0; i < perWorker; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, decideRequest(fmt.Sprintf(`{"class":%d,"home":%d}`, i%2, (g+i)%3)))
+				if rec.Code != http.StatusOK {
+					continue
+				}
+				var dr DecideResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &dr); err != nil {
+					t.Errorf("decide answer %q: %v", rec.Body, err)
+					continue
+				}
+				if dr.Mode == "policy" {
+					pol++
+				} else {
+					fb++
+				}
+			}
+			mu.Lock()
+			policyOKs += pol
+			fallbackOK += fb
+			mu.Unlock()
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-reporterDone
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var st Stats
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	resolved := st.Decided + st.Fallback + st.NoCapacity + st.Unavailable +
+		st.Shed + st.Expired + st.Malformed + st.Draining
+	if st.Requests != workers*perWorker || st.Requests != resolved {
+		t.Errorf("conservation violated: %d requests, %d resolved (%+v)", st.Requests, resolved, st)
+	}
+	if st.Decided != policyOKs || st.Fallback != fallbackOK {
+		t.Errorf("server decided %d (fallback %d), clients got %d (fallback %d)",
+			st.Decided, st.Fallback, policyOKs, fallbackOK)
+	}
+	if st.Decided == 0 || st.LateDecides != 0 || st.QueueDepth != 0 {
+		t.Errorf("stats = %+v", st)
 	}
 }

@@ -26,8 +26,8 @@ import (
 //     decisions inside one report period from herding onto the site that
 //     happened to look idle at the last report.
 //
-// Ingest is called from HTTP handler goroutines and the view methods
-// from the decision loop; a mutex guards every method. A decision's
+// Ingest is called from report handlers and the view methods from the
+// decide that holds the decision token; a mutex guards every method. A decision's
 // query counts come from one ReadCounts call, so they are consistent
 // across the sites it costs; work reads (WORK only) are per-site, and a report may
 // land between them, which is exactly the consistency a distributed

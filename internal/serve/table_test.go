@@ -151,7 +151,7 @@ func TestLiveTableReadCountsMatchesPerSiteReads(t *testing.T) {
 
 // TestLiveTableConcurrentDecidesAndReports drives a core's table from
 // several goroutines at once — reports from handler-like goroutines,
-// the decision loop, and extra policies costing from the same table —
+// a serial decider, and extra policies costing from the same table —
 // for the race detector (go test -race -count=10 ./internal/serve/).
 // Every snapshot must be consistent under its one lock: a fresh site's
 // total is the sum of its two counts.

@@ -122,10 +122,14 @@ func (c *Core) Ready(now time.Time) bool { return c.breakers.AnyRoutable(now) }
 
 // Report ingests one site's load report: table entry, freshness stamp,
 // and breaker feedback (rejections and observed latency). Safe for
-// concurrent use. latencyMS zero means "not measured".
+// concurrent use. latencyMS zero means "not measured". Counts outside
+// [0, maxCount] are refused, as the wire decoder refuses them.
 func (c *Core) Report(site, numIO, numCPU int, cpuWork, ioWork float64, rejected int, latencyMS float64, now time.Time) error {
 	if site < 0 || site >= c.cfg.NumSites {
 		return fmt.Errorf("serve: site %d out of range [0,%d)", site, c.cfg.NumSites)
+	}
+	if err := checkCounts(numIO, numCPU, rejected); err != nil {
+		return fmt.Errorf("serve: site %d: %w", site, err)
 	}
 	c.table.Ingest(site, numIO, numCPU, cpuWork, ioWork, now)
 	c.breakers.OnReport(site, rejected, latencyMS, now)

@@ -14,6 +14,9 @@ import (
 // arbitrary bytes — malformed JSON, absurd field values, unknown fields,
 // trailing garbage — must never panic, and anything the decoder accepts
 // must satisfy the validated invariants the decision path relies on.
+// It is also the differential test of the hand parser: on every input,
+// for both request types, it must reach the verdict of the encoding/json
+// reference decoder and store bit-identical values.
 func FuzzDecodeDecideRequest(f *testing.F) {
 	f.Add([]byte(`{"class":0,"home":0}`))
 	f.Add([]byte(`{"class":1,"home":5,"est_reads":20,"est_page_cpu":0.05,"deadline_ms":50}`))
@@ -28,7 +31,12 @@ func FuzzDecodeDecideRequest(f *testing.F) {
 	f.Add([]byte(`[0,1,2]`))
 	f.Add([]byte(`"just a string"`))
 	f.Add([]byte(`{"site":0,"num_io":3,"num_cpu":1,"rejected":2}`))
+	for _, body := range parityTraps {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecideParity(t, data)
+		checkReportParity(t, data)
 		const numClasses, numSites = 2, 6
 		req, err := DecodeDecideRequest(data, numClasses, numSites)
 		if err == nil {
@@ -53,6 +61,9 @@ func FuzzDecodeDecideRequest(f *testing.F) {
 			}
 			if rep.NumIO < 0 || rep.NumCPU < 0 || rep.Rejected < 0 {
 				t.Fatalf("accepted negative counts: %+v", rep)
+			}
+			if rep.NumIO > maxCount || rep.NumCPU > maxCount || rep.Rejected > maxCount {
+				t.Fatalf("accepted counts above %d: %+v", maxCount, rep)
 			}
 		}
 	})

@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -16,6 +13,12 @@ const maxBodyBytes = 1 << 16
 // more is a client bug (or an attack), not a workload, and is rejected
 // with 400 rather than fed to the cost functions.
 const absurd = 1e12
+
+// maxCount is the upper bound on a report's query counts. A site with a
+// billion outstanding queries is a client bug too, and the bound keeps
+// the table's sums of reported counts and optimistic deltas far from int
+// overflow, which would read as a negative load and draw every decision.
+const maxCount = 1_000_000_000
 
 // DecideRequest is the wire form of "which site runs this query".
 type DecideRequest struct {
@@ -73,24 +76,6 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// decodeStrict unmarshals a JSON object into v rejecting non-objects
-// (null would silently zero-fill), unknown fields, and trailing garbage.
-func decodeStrict(data []byte, v any) error {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) == 0 || trimmed[0] != '{' {
-		return fmt.Errorf("expected a JSON object")
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("trailing data after JSON value")
-	}
-	return nil
-}
-
 // finiteNonNeg rejects NaN, infinities, negatives, and absurd values.
 func finiteNonNeg(name string, v float64) error {
 	switch {
@@ -108,52 +93,104 @@ func finiteNonNeg(name string, v float64) error {
 // service with the given class and site counts. Every error maps to a
 // 4xx response; no input may panic (fuzz-tested).
 func DecodeDecideRequest(data []byte, numClasses, numSites int) (DecideRequest, error) {
-	var req DecideRequest
-	if err := decodeStrict(data, &req); err != nil {
+	req, err := parseDecideRequest(data)
+	if err != nil {
 		return DecideRequest{}, fmt.Errorf("malformed decide request: %w", err)
 	}
-	switch {
-	case req.Class < 0 || req.Class >= numClasses:
-		return DecideRequest{}, fmt.Errorf("class %d out of range [0,%d)", req.Class, numClasses)
-	case req.Home < 0 || req.Home >= numSites:
-		return DecideRequest{}, fmt.Errorf("home %d out of range [0,%d)", req.Home, numSites)
-	}
-	if err := finiteNonNeg("est_reads", req.EstReads); err != nil {
-		return DecideRequest{}, err
-	}
-	if err := finiteNonNeg("est_page_cpu", req.EstPageCPU); err != nil {
-		return DecideRequest{}, err
-	}
-	if err := finiteNonNeg("deadline_ms", req.DeadlineMS); err != nil {
+	if err := req.validate(numClasses, numSites); err != nil {
 		return DecideRequest{}, err
 	}
 	return req, nil
 }
 
+// parseDecideRequest parses a decide request body without validating
+// its values.
+func parseDecideRequest(data []byte) (req DecideRequest, err error) {
+	err = parseObject(data, []field{
+		{name: "class", i: &req.Class},
+		{name: "home", i: &req.Home},
+		{name: "est_reads", f: &req.EstReads},
+		{name: "est_page_cpu", f: &req.EstPageCPU},
+		{name: "deadline_ms", f: &req.DeadlineMS},
+	})
+	return req, err
+}
+
+// validate checks a parsed decide request against the service's class
+// and site counts.
+func (req *DecideRequest) validate(numClasses, numSites int) error {
+	switch {
+	case req.Class < 0 || req.Class >= numClasses:
+		return fmt.Errorf("class %d out of range [0,%d)", req.Class, numClasses)
+	case req.Home < 0 || req.Home >= numSites:
+		return fmt.Errorf("home %d out of range [0,%d)", req.Home, numSites)
+	}
+	if err := finiteNonNeg("est_reads", req.EstReads); err != nil {
+		return err
+	}
+	if err := finiteNonNeg("est_page_cpu", req.EstPageCPU); err != nil {
+		return err
+	}
+	return finiteNonNeg("deadline_ms", req.DeadlineMS)
+}
+
 // DecodeReportRequest parses and validates a load-report body.
 func DecodeReportRequest(data []byte, numSites int) (ReportRequest, error) {
-	var rep ReportRequest
-	if err := decodeStrict(data, &rep); err != nil {
+	rep, err := parseReportRequest(data)
+	if err != nil {
 		return ReportRequest{}, fmt.Errorf("malformed report: %w", err)
 	}
-	switch {
-	case rep.Site < 0 || rep.Site >= numSites:
-		return ReportRequest{}, fmt.Errorf("site %d out of range [0,%d)", rep.Site, numSites)
-	case rep.NumIO < 0:
-		return ReportRequest{}, fmt.Errorf("num_io %d is negative", rep.NumIO)
-	case rep.NumCPU < 0:
-		return ReportRequest{}, fmt.Errorf("num_cpu %d is negative", rep.NumCPU)
-	case rep.Rejected < 0:
-		return ReportRequest{}, fmt.Errorf("rejected %d is negative", rep.Rejected)
-	}
-	if err := finiteNonNeg("cpu_work", rep.CPUWork); err != nil {
-		return ReportRequest{}, err
-	}
-	if err := finiteNonNeg("io_work", rep.IOWork); err != nil {
-		return ReportRequest{}, err
-	}
-	if err := finiteNonNeg("latency_ms", rep.LatencyMS); err != nil {
+	if err := rep.validate(numSites); err != nil {
 		return ReportRequest{}, err
 	}
 	return rep, nil
+}
+
+// parseReportRequest parses a load-report body without validating its
+// values.
+func parseReportRequest(data []byte) (rep ReportRequest, err error) {
+	err = parseObject(data, []field{
+		{name: "site", i: &rep.Site},
+		{name: "num_io", i: &rep.NumIO},
+		{name: "num_cpu", i: &rep.NumCPU},
+		{name: "cpu_work", f: &rep.CPUWork},
+		{name: "io_work", f: &rep.IOWork},
+		{name: "rejected", i: &rep.Rejected},
+		{name: "latency_ms", f: &rep.LatencyMS},
+	})
+	return rep, err
+}
+
+// validate checks a parsed load report against the service's site
+// count.
+func (rep *ReportRequest) validate(numSites int) error {
+	if rep.Site < 0 || rep.Site >= numSites {
+		return fmt.Errorf("site %d out of range [0,%d)", rep.Site, numSites)
+	}
+	if err := checkCounts(rep.NumIO, rep.NumCPU, rep.Rejected); err != nil {
+		return err
+	}
+	if err := finiteNonNeg("cpu_work", rep.CPUWork); err != nil {
+		return err
+	}
+	if err := finiteNonNeg("io_work", rep.IOWork); err != nil {
+		return err
+	}
+	return finiteNonNeg("latency_ms", rep.LatencyMS)
+}
+
+// checkCounts rejects a report's query counts outside [0, maxCount].
+func checkCounts(numIO, numCPU, rejected int) error {
+	for _, c := range [...]struct {
+		name string
+		v    int
+	}{{"num_io", numIO}, {"num_cpu", numCPU}, {"rejected", rejected}} {
+		switch {
+		case c.v < 0:
+			return fmt.Errorf("%s %d is negative", c.name, c.v)
+		case c.v > maxCount:
+			return fmt.Errorf("%s %d exceeds %d", c.name, c.v, maxCount)
+		}
+	}
+	return nil
 }

@@ -280,9 +280,38 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// readBody reads a bounded request body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// bufPool recycles the buffers the decide and report handlers read
+// request bodies into and encode decide responses in.
+var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// readBody reads a bounded request body into *buf, as io.ReadAll would,
+// and returns it. *buf keeps any capacity the read grows it by.
+func readBody(w http.ResponseWriter, r *http.Request, buf *[]byte) ([]byte, error) {
+	rd := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	b := (*buf)[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := rd.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			*buf = b
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+	}
+}
+
+// writeDecide writes a 200 decide response, the bytes writeJSON would
+// write, encoding it in *buf.
+func writeDecide(w http.ResponseWriter, buf *[]byte, resp DecideResponse) {
+	*buf = AppendDecideResponse((*buf)[:0], resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(*buf)
 }
 
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
@@ -298,7 +327,9 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.leave()
-	body, err := readBody(w, r)
+	buf := bufPool.Get().(*[]byte)
+	defer bufPool.Put(buf)
+	body, err := readBody(w, r, buf)
 	if err != nil {
 		s.bump(&s.st.Malformed)
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
@@ -341,10 +372,10 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	switch out {
 	case OutcomeDecided:
 		s.note(&s.st.Decided, laneDecided, start)
-		writeJSON(w, http.StatusOK, DecideResponse{Site: site, Mode: "policy", Policy: s.core.Policy()})
+		writeDecide(w, buf, DecideResponse{Site: site, Mode: "policy", Policy: s.core.Policy()})
 	case OutcomeFallback:
 		s.note(&s.st.Fallback, laneFallback, start)
-		writeJSON(w, http.StatusOK, DecideResponse{Site: site, Mode: "fallback", Policy: s.core.Policy()})
+		writeDecide(w, buf, DecideResponse{Site: site, Mode: "fallback", Policy: s.core.Policy()})
 	case OutcomeNoCapacity:
 		s.note(&s.st.NoCapacity, laneNoCapacity, start)
 		w.Header().Set("Retry-After", "1")
@@ -362,7 +393,9 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := readBody(w, r)
+	buf := bufPool.Get().(*[]byte)
+	defer bufPool.Put(buf)
+	body, err := readBody(w, r, buf)
 	if err != nil {
 		s.bump(&s.st.BadReports)
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -533,5 +534,60 @@ func TestServerConcurrentDecides(t *testing.T) {
 	}
 	if st.Decided == 0 || st.LateDecides != 0 || st.QueueDepth != 0 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestReportCountsAboveBoundRejected pins that a report count near
+// math.MaxInt cannot wrap the table's sums negative. Accepted, such a
+// report made site 0 read as the least loaded site with a negative
+// committed count, so BNQ routed every decide there and the admission
+// cap never bound. The handler answers 400, Core.Report refuses it, and
+// the decides that follow still see the last accepted reports.
+func TestReportCountsAboveBoundRejected(t *testing.T) {
+	cfg := Default()
+	cfg.Policy = policy.BNQ
+	cfg.AdmitMax = 100
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	for s := 0; s < cfg.NumSites; s++ {
+		serveBody(t, h, "/v1/report", []byte(fmt.Sprintf(`{"site":%d,"num_io":1}`, s)), http.StatusNoContent)
+	}
+	for _, c := range [][2]int{{1, math.MaxInt}, {maxCount + 1, 0}, {math.MaxInt, 1}} {
+		if err := srv.Core().Report(0, c[0], c[1], 0, 0, 0, 0, time.Now()); err == nil {
+			t.Errorf("Core.Report accepted counts %v", c)
+		}
+	}
+	for _, body := range []string{
+		`{"site":0,"num_io":1,"num_cpu":9223372036854775807}`,
+		`{"site":0,"num_io":1000000001}`,
+		`{"site":0,"num_io":9223372036854775807,"num_cpu":1}`,
+	} {
+		serveBody(t, h, "/v1/report", []byte(body), http.StatusBadRequest)
+	}
+
+	const decides = 20
+	perSite := make([]int, cfg.NumSites)
+	for i := 0; i < decides; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decide", strings.NewReader(`{"class":0,"home":0}`)))
+		var dr DecideResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &dr) != nil {
+			t.Fatalf("decide %d: status %d: %s", i, rec.Code, rec.Body.Bytes())
+		}
+		perSite[dr.Site]++
+	}
+	// Every site reported one query, so BNQ spreads the decides evenly.
+	fair := (decides + cfg.NumSites - 1) / cfg.NumSites
+	for s, n := range perSite {
+		if n > fair {
+			t.Errorf("site %d got %d of %d decides, want at most %d: %v", s, n, decides, fair, perSite)
+		}
+		if c := srv.Core().Table().Committed(s); c < 0 || c > cfg.AdmitMax {
+			t.Errorf("site %d committed %d, want within [0, %d]", s, c, cfg.AdmitMax)
+		}
 	}
 }

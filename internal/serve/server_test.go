@@ -165,6 +165,36 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestServerRejectsOversizedBody holds both handlers to the body bound:
+// a valid request padded to maxBodyBytes is served, one byte more is a
+// 400 that closes the connection.
+func TestServerRejectsOversizedBody(t *testing.T) {
+	srv, ts, _ := startServer(t, nil)
+	for _, tc := range []struct {
+		path, body string
+		ok         int
+	}{
+		{"/v1/report", `{"site":0}`, http.StatusNoContent},
+		{"/v1/decide", `{"class":0,"home":0}`, http.StatusOK},
+	} {
+		pad := maxBodyBytes - len(tc.body)
+		resp, out := postJSON(t, ts.URL+tc.path, tc.body+strings.Repeat(" ", pad))
+		if resp.StatusCode != tc.ok {
+			t.Errorf("%s at the bound: status %d (%s), want %d", tc.path, resp.StatusCode, out, tc.ok)
+		}
+		resp, out = postJSON(t, ts.URL+tc.path, tc.body+strings.Repeat(" ", pad+1))
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(out, []byte("too large")) {
+			t.Errorf("%s past the bound: status %d (%s), want 400 too large", tc.path, resp.StatusCode, out)
+		}
+		if !resp.Close {
+			t.Errorf("%s past the bound: connection kept open", tc.path)
+		}
+	}
+	if st := srv.Stats(); st.Malformed != 1 || st.BadReports != 1 {
+		t.Errorf("malformed = %d, bad reports = %d, want 1 and 1", st.Malformed, st.BadReports)
+	}
+}
+
 func TestServerDeadlineExpiresRequest(t *testing.T) {
 	srv, ts, _ := startServer(t, nil)
 	for s := 0; s < 3; s++ {

@@ -122,8 +122,9 @@ func TestRunWithOverloadFlags(t *testing.T) {
 }
 
 // TestRunFlagErrors checks that every malformed imperfect-information
-// flag combination, and every non-finite horizon, comes back as an error
-// from run, never a panic or a run without end.
+// flag combination, and every NaN or infinite float flag, comes back as
+// an error from run, never a panic, a run without end, or a subsystem
+// silently left off.
 func TestRunFlagErrors(t *testing.T) {
 	cases := map[string][]string{
 		"unknown flag":        {"-no-such-flag"},
@@ -152,6 +153,18 @@ func TestRunFlagErrors(t *testing.T) {
 		"NaN measure":         {"-measure", "NaN"},
 		"infinite measure":    {"-measure", "Inf"},
 		"NaN warmup":          {"-warmup", "NaN"},
+		"NaN think":           {"-think", "NaN"},
+		"infinite think":      {"-think", "Inf"},
+		"NaN pio":             {"-pio", "NaN"},
+		"NaN msg":             {"-msg", "NaN"},
+		"NaN deadline":        {"-deadline", "NaN"},
+		"NaN hedge quantile":  {"-hedge-quantile", "NaN"},
+		"NaN info period":     {"-info-period", "NaN"},
+		"NaN noise":           {"-est-noise", "NaN"},
+		"NaN mttf":            {"-mttf", "NaN"},
+		"NaN drop":            {"-drop", "NaN"},
+		"infinite mttf":       {"-mttf", "Inf"},
+		"negative infinity":   {"-rate", "-Inf"},
 	}
 	for name, args := range cases {
 		if err := run(args, io.Discard); err == nil {

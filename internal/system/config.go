@@ -255,13 +255,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("system: DiskTime %v must be positive", c.DiskTime)
 	case c.DiskTimeDev < 0 || c.DiskTimeDev >= 1:
 		return fmt.Errorf("system: DiskTimeDev %v outside [0,1)", c.DiskTimeDev)
-	case c.ThinkTime < 0:
-		return fmt.Errorf("system: negative ThinkTime %v", c.ThinkTime)
-	case len(c.Classes) == 0:
-		return fmt.Errorf("system: no query classes")
-	case len(c.ClassProbs) != len(c.Classes):
-		return fmt.Errorf("system: %d class probabilities for %d classes",
-			len(c.ClassProbs), len(c.Classes))
+	case !(c.ThinkTime >= 0) || math.IsInf(c.ThinkTime, 1):
+		return fmt.Errorf("system: ThinkTime %v is not a finite non-negative number", c.ThinkTime)
 	case c.MsgTime < 0:
 		return fmt.Errorf("system: negative MsgTime %v", c.MsgTime)
 	case c.Warmup < 0:
@@ -271,10 +266,8 @@ func (c Config) Validate() error {
 	case math.IsNaN(c.Warmup) || math.IsNaN(c.Measure) || math.IsInf(c.Warmup+c.Measure, 0):
 		return fmt.Errorf("system: horizon Warmup %v + Measure %v is not finite", c.Warmup, c.Measure)
 	}
-	for _, cl := range c.Classes {
-		if err := cl.Validate(); err != nil {
-			return fmt.Errorf("system: %w", err)
-		}
+	if err := workload.ValidateMix(c.Classes, c.ClassProbs); err != nil {
+		return fmt.Errorf("system: %w", err)
 	}
 	if c.InfoMode == InfoPeriodic && c.InfoPeriod <= 0 {
 		return fmt.Errorf("system: periodic info needs positive InfoPeriod, got %v", c.InfoPeriod)

@@ -28,8 +28,13 @@ func TestConfigValidateTable(t *testing.T) {
 		{name: "zero disk time", mutate: func(c *Config) { c.DiskTime = 0 }},
 		{name: "disk dev", mutate: func(c *Config) { c.DiskTimeDev = 1.5 }},
 		{name: "negative think", mutate: func(c *Config) { c.ThinkTime = -1 }},
+		{name: "NaN think", mutate: func(c *Config) { c.ThinkTime = math.NaN() }},
+		{name: "infinite think", mutate: func(c *Config) { c.ThinkTime = math.Inf(1) }},
 		{name: "no classes", mutate: func(c *Config) { c.Classes = nil }},
 		{name: "probs mismatch", mutate: func(c *Config) { c.ClassProbs = []float64{1} }},
+		{name: "NaN probs", mutate: func(c *Config) { c.ClassProbs = []float64{math.NaN(), math.NaN()} }},
+		{name: "probs not normalized", mutate: func(c *Config) { c.ClassProbs = []float64{0.5, 0.6} }},
+		{name: "NaN msg length", mutate: func(c *Config) { c.Classes[1].MsgLength = math.NaN() }},
 		{name: "negative msg time", mutate: func(c *Config) { c.MsgTime = -1 }},
 		{name: "negative warmup", mutate: func(c *Config) { c.Warmup = -1 }},
 		{name: "zero measure", mutate: func(c *Config) { c.Measure = 0 }},

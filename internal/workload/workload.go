@@ -55,12 +55,41 @@ type Class struct {
 // Validate reports a configuration error, if any.
 func (c Class) Validate() error {
 	switch {
-	case c.PageCPUTime < 0:
-		return fmt.Errorf("class %q: negative page CPU time", c.Name)
-	case c.NumReads < 1:
-		return fmt.Errorf("class %q: mean reads %v < 1", c.Name, c.NumReads)
-	case c.MsgLength < 0:
-		return fmt.Errorf("class %q: negative message length", c.Name)
+	case !(c.PageCPUTime >= 0):
+		return fmt.Errorf("class %q: page CPU time %v is negative or NaN", c.Name, c.PageCPUTime)
+	case !(c.NumReads >= 1):
+		return fmt.Errorf("class %q: mean reads %v is below 1 or NaN", c.Name, c.NumReads)
+	case !(c.MsgLength >= 0):
+		return fmt.Errorf("class %q: message length %v is negative or NaN", c.Name, c.MsgLength)
+	}
+	return nil
+}
+
+// ValidateMix reports the first error in a class mix, if any: every
+// class must be valid and probs[i], the probability that a new query
+// belongs to classes[i], must be non-negative and sum to 1 (within a
+// small tolerance). NaN fails every check.
+func ValidateMix(classes []Class, probs []float64) error {
+	if len(classes) == 0 {
+		return fmt.Errorf("workload: no classes")
+	}
+	if len(probs) != len(classes) {
+		return fmt.Errorf("workload: %d probabilities for %d classes", len(probs), len(classes))
+	}
+	sum := 0.0
+	for i, p := range probs {
+		if !(p >= 0) {
+			return fmt.Errorf("workload: probability %v for class %d is negative or NaN", p, i)
+		}
+		sum += p
+	}
+	if !(math.Abs(sum-1) <= 1e-9) {
+		return fmt.Errorf("workload: class probabilities sum to %v, want 1", sum)
+	}
+	for _, c := range classes {
+		if err := c.Validate(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -193,29 +222,10 @@ type Generator struct {
 }
 
 // NewGenerator builds a generator over the given classes. probs[i] is the
-// probability that a new query belongs to class i; the probabilities must
-// sum to 1 (within a small tolerance).
+// probability that a new query belongs to class i; see ValidateMix.
 func NewGenerator(classes []Class, probs []float64, mode EstimateMode, stream *rng.Stream) (*Generator, error) {
-	if len(classes) == 0 {
-		return nil, fmt.Errorf("workload: no classes")
-	}
-	if len(probs) != len(classes) {
-		return nil, fmt.Errorf("workload: %d probabilities for %d classes", len(probs), len(classes))
-	}
-	sum := 0.0
-	for i, p := range probs {
-		if p < 0 {
-			return nil, fmt.Errorf("workload: negative probability for class %d", i)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return nil, fmt.Errorf("workload: class probabilities sum to %v, want 1", sum)
-	}
-	for _, c := range classes {
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
+	if err := ValidateMix(classes, probs); err != nil {
+		return nil, err
 	}
 	if mode != EstimateClassMean && mode != EstimateActual {
 		return nil, fmt.Errorf("workload: invalid estimate mode %d", mode)

@@ -72,6 +72,9 @@ func TestClassValidate(t *testing.T) {
 		{name: "negative cpu", class: Class{PageCPUTime: -1, NumReads: 5}, wantErr: true},
 		{name: "reads below one", class: Class{PageCPUTime: 1, NumReads: 0.5}, wantErr: true},
 		{name: "negative msg", class: Class{PageCPUTime: 1, NumReads: 5, MsgLength: -1}, wantErr: true},
+		{name: "NaN cpu", class: Class{PageCPUTime: math.NaN(), NumReads: 5}, wantErr: true},
+		{name: "NaN reads", class: Class{PageCPUTime: 1, NumReads: math.NaN()}, wantErr: true},
+		{name: "NaN msg", class: Class{PageCPUTime: 1, NumReads: 5, MsgLength: math.NaN()}, wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -97,6 +100,7 @@ func TestNewGeneratorRejectsBadConfig(t *testing.T) {
 		{name: "probs mismatch", classes: cs, probs: []float64{1}, mode: EstimateClassMean, stream: stream},
 		{name: "probs not normalized", classes: cs, probs: []float64{0.5, 0.6}, mode: EstimateClassMean, stream: stream},
 		{name: "negative prob", classes: cs, probs: []float64{-0.5, 1.5}, mode: EstimateClassMean, stream: stream},
+		{name: "NaN probs", classes: cs, probs: []float64{math.NaN(), math.NaN()}, mode: EstimateClassMean, stream: stream},
 		{name: "bad mode", classes: cs, probs: []float64{0.5, 0.5}, mode: 0, stream: stream},
 		{name: "nil stream", classes: cs, probs: []float64{0.5, 0.5}, mode: EstimateClassMean, stream: nil},
 	}

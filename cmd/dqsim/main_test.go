@@ -165,6 +165,17 @@ func TestRunFlagErrors(t *testing.T) {
 		"NaN drop":            {"-drop", "NaN"},
 		"infinite mttf":       {"-mttf", "Inf"},
 		"negative infinity":   {"-rate", "-Inf"},
+		"negative mttf":       {"-mttf", "-5"},
+		"negative mttr":       {"-mttr", "-1"},
+		"negative info":       {"-info-period", "-5"},
+		"negative slow mttf":  {"-slow-mttf", "-1"},
+		"negative brownout":   {"-brownout-mttf", "-1"},
+		"negative net delay":  {"-net-delay", "-1"},
+		"negative timeout":    {"-fault-timeout", "-9"},
+		"negative admit max":  {"-admit-max", "-3"},
+		"negative objects":    {"-objects", "-2"},
+		"retries below -1":    {"-fault-retries", "-2"},
+		"negative penalty":    {"-suspect", "-suspect-penalty", "-0.5"},
 	}
 	for name, args := range cases {
 		if err := run(args, io.Discard); err == nil {

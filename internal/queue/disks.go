@@ -34,27 +34,43 @@ func (d DiskSelection) String() string {
 // servers (Section 2, Table 1). Reads are dispatched to one disk according
 // to the configured selection rule.
 type DiskArray[T any] struct {
-	disks  []*FCFS[T]
+	disks  []FCFS[T]
 	pick   DiskSelection
-	stream *rng.Stream
+	stream rng.Stream
 }
 
-// NewDiskArray builds an array of n FCFS disks. stream drives the random
-// selection rule (it may be nil when pick is SelectShortestQueue). done is
-// called on each completed read.
+// NewDiskArray builds an array of n FCFS disks. A copy of stream drives
+// the random selection rule (it may be nil when pick is
+// SelectShortestQueue). done is called on each completed read.
 func NewDiskArray[T any](sched *sim.Scheduler, n int, pick DiskSelection, stream *rng.Stream, done func(T)) *DiskArray[T] {
 	if n <= 0 {
+		panic("queue: disk array needs at least one disk")
+	}
+	d := new(DiskArray[T])
+	d.Init(sched, make([]FCFS[T], n), pick, stream, done)
+	return d
+}
+
+// Init makes d an idle array in place over the disks of storage, one per
+// element, so an owner can hold the array by value and place many arrays'
+// disks on one backing slice. The array takes over storage and draws
+// from a copy of stream, as NewDiskArray does. The disks bind their
+// completion actions to their own addresses: storage must not be copied
+// or reused after Init.
+func (d *DiskArray[T]) Init(sched *sim.Scheduler, storage []FCFS[T], pick DiskSelection, stream *rng.Stream, done func(T)) {
+	if len(storage) == 0 {
 		panic("queue: disk array needs at least one disk")
 	}
 	if pick == SelectRandom && stream == nil {
 		panic("queue: random disk selection needs a stream")
 	}
-	d := &DiskArray[T]{pick: pick, stream: stream}
-	d.disks = make([]*FCFS[T], n)
-	for i := range d.disks {
-		d.disks[i] = NewFCFS(sched, done)
+	*d = DiskArray[T]{disks: storage, pick: pick}
+	if stream != nil {
+		d.stream = *stream
 	}
-	return d
+	for i := range d.disks {
+		d.disks[i].Init(sched, done)
+	}
 }
 
 // Enqueue dispatches one read with the given service time to a disk.
@@ -67,8 +83,8 @@ func (d *DiskArray[T]) Enqueue(job T, service float64) {
 // FCFS.Drain.
 func (d *DiskArray[T]) Drain() []T {
 	var out []T
-	for _, disk := range d.disks {
-		out = append(out, disk.Drain()...)
+	for i := range d.disks {
+		out = append(out, d.disks[i].Drain()...)
 	}
 	return out
 }
@@ -76,8 +92,8 @@ func (d *DiskArray[T]) Drain() []T {
 // RemoveFunc withdraws the first matching read across the disks (in
 // disk-index order) without completing it. See FCFS.RemoveFunc.
 func (d *DiskArray[T]) RemoveFunc(match func(T) bool) (T, bool) {
-	for _, disk := range d.disks {
-		if job, ok := disk.RemoveFunc(match); ok {
+	for i := range d.disks {
+		if job, ok := d.disks[i].RemoveFunc(match); ok {
 			return job, true
 		}
 	}
@@ -88,8 +104,8 @@ func (d *DiskArray[T]) RemoveFunc(match func(T) bool) (T, bool) {
 // SetRate changes every disk's speed; in-service reads are re-timed so
 // only their remaining work stretches. See FCFS.SetRate.
 func (d *DiskArray[T]) SetRate(rate float64) {
-	for _, disk := range d.disks {
-		disk.SetRate(rate)
+	for i := range d.disks {
+		d.disks[i].SetRate(rate)
 	}
 }
 
@@ -99,8 +115,8 @@ func (d *DiskArray[T]) NumDisks() int { return len(d.disks) }
 // QueueLen returns the total number of reads present across all disks.
 func (d *DiskArray[T]) QueueLen() int {
 	total := 0
-	for _, disk := range d.disks {
-		total += disk.QueueLen()
+	for i := range d.disks {
+		total += d.disks[i].QueueLen()
 	}
 	return total
 }
@@ -108,8 +124,8 @@ func (d *DiskArray[T]) QueueLen() int {
 // Served returns the total reads completed across all disks.
 func (d *DiskArray[T]) Served() uint64 {
 	var total uint64
-	for _, disk := range d.disks {
-		total += disk.Served()
+	for i := range d.disks {
+		total += d.disks[i].Served()
 	}
 	return total
 }
@@ -118,16 +134,16 @@ func (d *DiskArray[T]) Served() uint64 {
 // window ending at t.
 func (d *DiskArray[T]) Utilization(t float64) float64 {
 	sum := 0.0
-	for _, disk := range d.disks {
-		sum += disk.Utilization(t)
+	for i := range d.disks {
+		sum += d.disks[i].Utilization(t)
 	}
 	return sum / float64(len(d.disks))
 }
 
 // ResetStats restarts every disk's measurement window at t.
 func (d *DiskArray[T]) ResetStats(t float64) {
-	for _, disk := range d.disks {
-		disk.ResetStats(t)
+	for i := range d.disks {
+		d.disks[i].ResetStats(t)
 	}
 }
 

@@ -20,10 +20,19 @@ const (
 	EventKindPS byte = 0x12
 )
 
+// noCopy makes go vet's copylocks check report a copy of the struct
+// that embeds it. Servers bind their event actions to their own
+// address, so a copy would leave those actions driving the original.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // FCFS is a single server with an unbounded FIFO queue. The caller samples
 // the service time and passes it at enqueue; the server invokes the
 // completion callback when the job's service finishes.
 type FCFS[T any] struct {
+	_     noCopy
 	sched *sim.Scheduler
 	done  func(T)
 	// finishFn is the service-completion action, bound once at
@@ -59,12 +68,20 @@ type fcfsEntry[T any] struct {
 // NewFCFS returns an idle FCFS server. done is called (from within the
 // simulation's event loop) each time a job completes service.
 func NewFCFS[T any](sched *sim.Scheduler, done func(T)) *FCFS[T] {
+	f := new(FCFS[T])
+	f.Init(sched, done)
+	return f
+}
+
+// Init makes f an idle FCFS server in place, as NewFCFS does, so an
+// owner can hold the server by value. f binds its completion action to
+// its own address: it must not be copied after Init.
+func (f *FCFS[T]) Init(sched *sim.Scheduler, done func(T)) {
 	if done == nil {
 		panic("queue: nil completion callback")
 	}
-	f := &FCFS[T]{sched: sched, done: done, rate: 1}
+	*f = FCFS[T]{sched: sched, done: done, rate: 1}
 	f.finishFn = f.finish
-	return f
 }
 
 // Rate returns the server's current speed (1 unless degraded).

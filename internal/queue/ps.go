@@ -20,6 +20,7 @@ const psEpsilon = 1e-9
 // rescheduled. All departures that become due simultaneously are delivered
 // in arrival order.
 type PS[T any] struct {
+	_     noCopy
 	sched *sim.Scheduler
 	done  func(T)
 	// departFn is the next-departure action, bound once at construction
@@ -47,12 +48,20 @@ type psJob[T any] struct {
 // NewPS returns an idle processor-sharing server. done is called each time
 // a job's service requirement is exhausted.
 func NewPS[T any](sched *sim.Scheduler, done func(T)) *PS[T] {
+	p := new(PS[T])
+	p.Init(sched, done)
+	return p
+}
+
+// Init makes p an idle processor-sharing server in place, as NewPS does,
+// so an owner can hold the server by value. p binds its departure
+// action to its own address: it must not be copied after Init.
+func (p *PS[T]) Init(sched *sim.Scheduler, done func(T)) {
 	if done == nil {
 		panic("queue: nil completion callback")
 	}
-	p := &PS[T]{sched: sched, done: done, rate: 1}
+	*p = PS[T]{sched: sched, done: done, rate: 1}
 	p.departFn = p.depart
-	return p
 }
 
 // Rate returns the server's current speed (1 unless degraded).

@@ -22,6 +22,12 @@ type Stream struct {
 // NewStream returns a stream seeded from seed via splitmix64, following the
 // xoshiro authors' recommended initialization.
 func NewStream(seed uint64) *Stream {
+	st := seeded(seed)
+	return &st
+}
+
+// seeded returns, by value, the stream NewStream(seed) points to.
+func seeded(seed uint64) Stream {
 	var st Stream
 	x := seed
 	for i := range st.s {
@@ -31,18 +37,25 @@ func NewStream(seed uint64) *Stream {
 	if st.s == [4]uint64{} {
 		st.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &st
+	return st
 }
 
 // Child derives an independent stream from this stream's seed lineage and
 // the given identifier. Calling Child never consumes numbers from the
 // parent, so adding entities does not shift existing sequences.
 func (r *Stream) Child(id uint64) *Stream {
-	// Mix the parent's initial state with the child id through splitmix64.
+	st := r.Derive(id)
+	return &st
+}
+
+// Derive returns, by value, the stream Child(id) points to, so an entity
+// can hold its streams inline instead of as separate heap objects.
+func (r *Stream) Derive(id uint64) Stream {
+	// Mix the parent's state with the child id through splitmix64.
 	x := r.s[0] ^ (id+1)*0xbf58476d1ce4e5b9
 	x, _ = splitmix64(x)
 	x ^= r.s[2]
-	return NewStream(x)
+	return seeded(x)
 }
 
 // Uint64 returns the next 64 uniformly distributed bits (xoshiro256++).

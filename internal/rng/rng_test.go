@@ -55,6 +55,40 @@ func TestChildDeterminism(t *testing.T) {
 	}
 }
 
+// TestDeriveMatchesChild checks that the by-value derivation yields the
+// streams Child points to, grandchildren included, for the root ids the
+// system uses (generator, policy, sites 100+i, think 1000+i) and the
+// site's own children 1–3. The checksum over every stream's first draws
+// was taken from the pointer-only implementation, so a slip in the
+// shared arithmetic fails here before any digest test sees it.
+func TestDeriveMatchesChild(t *testing.T) {
+	const want = 0x1b167fde03416c50
+	draws := func(a, b *Stream, sum *uint64) {
+		for i := 0; i < 4; i++ {
+			x, y := a.Uint64(), b.Uint64()
+			if x != y {
+				t.Fatalf("draw %d: Derive gives %#x, Child %#x", i, x, y)
+			}
+			*sum = *sum*0x100000001b3 ^ x
+		}
+	}
+	var sum uint64
+	for _, seed := range []uint64{0, 1, 2, 42, 1 << 63} {
+		root := NewStream(seed)
+		for _, id := range []uint64{0, 1, 2, 13, 100, 163, 1000, 1063} {
+			c, cp := root.Derive(id), root.Child(id)
+			for _, k := range []uint64{1, 2, 3} {
+				g := c.Derive(k)
+				draws(&g, cp.Child(k), &sum)
+			}
+			draws(&c, cp, &sum)
+		}
+	}
+	if sum != want {
+		t.Errorf("first-draw checksum %#x, want %#x", sum, want)
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := NewStream(3)
 	for i := 0; i < 10000; i++ {

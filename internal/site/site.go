@@ -108,16 +108,20 @@ func (c Config) Validate() error {
 // Site executes queries on its CPU and disks. Each query admitted via
 // Execute cycles (disk read → CPU processing) until its sampled read
 // count is exhausted, then the completion callback fires.
+//
+// A site holds its service centers and random streams by value, and
+// their event actions are bound to its address: a Site must not be
+// copied once built.
 type Site struct {
 	id    int
 	sched *sim.Scheduler
 	cfg   Config
 	done  func(*workload.Query)
 
-	cpu     *queue.PS[*workload.Query]
-	disks   *queue.DiskArray[*workload.Query]
-	diskSvc *rng.Stream
-	cpuSvc  *rng.Stream
+	cpu     queue.PS[*workload.Query]
+	disks   queue.DiskArray[*workload.Query]
+	diskSvc rng.Stream
+	cpuSvc  rng.Stream
 
 	active int
 }
@@ -126,21 +130,40 @@ type Site struct {
 // and disk-selection streams; done fires when a query's last CPU burst
 // completes (while the query is still counted at the site).
 func New(id int, sched *sim.Scheduler, cfg Config, stream *rng.Stream, done func(*workload.Query)) (*Site, error) {
-	if err := cfg.Validate(); err != nil {
+	s := new(Site)
+	if err := s.Init(id, sched, cfg, stream, nil, done); err != nil {
 		return nil, err
 	}
+	return s, nil
+}
+
+// Init builds an idle site in place, as New does, so that many sites can
+// live on one backing array. disks is the storage for the site's
+// cfg.NumDisks disks, letting those arrays share one backing slice too;
+// nil makes Init allocate it.
+func (s *Site) Init(id int, sched *sim.Scheduler, cfg Config, stream *rng.Stream, disks []queue.FCFS[*workload.Query], done func(*workload.Query)) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if done == nil {
-		return nil, fmt.Errorf("site: nil completion callback")
+		return fmt.Errorf("site: nil completion callback")
 	}
 	if stream == nil {
-		return nil, fmt.Errorf("site: nil random stream")
+		return fmt.Errorf("site: nil random stream")
 	}
-	s := &Site{id: id, sched: sched, cfg: cfg, done: done}
-	s.diskSvc = stream.Child(1)
-	s.cpuSvc = stream.Child(2)
-	s.cpu = queue.NewPS(sched, s.onCPUDone)
-	s.disks = queue.NewDiskArray(sched, cfg.NumDisks, cfg.DiskSelection, stream.Child(3), s.onDiskDone)
-	return s, nil
+	if disks == nil {
+		disks = make([]queue.FCFS[*workload.Query], cfg.NumDisks)
+	}
+	if len(disks) != cfg.NumDisks {
+		panic(fmt.Sprintf("site: storage for %d disks, config has %d", len(disks), cfg.NumDisks))
+	}
+	*s = Site{id: id, sched: sched, cfg: cfg, done: done}
+	s.diskSvc = stream.Derive(1)
+	s.cpuSvc = stream.Derive(2)
+	sel := stream.Derive(3)
+	s.cpu.Init(sched, s.onCPUDone)
+	s.disks.Init(sched, disks, cfg.DiskSelection, &sel, s.onDiskDone)
+	return nil
 }
 
 // ID returns the site's index.

@@ -20,7 +20,8 @@ import (
 // RegisterFlags defines dqsim's configuration flags on fs. After
 // fs.Parse, the returned function builds the Config they describe,
 // starting from Default(), and validates it. It rejects a NaN or
-// infinite value of any float flag set on fs.
+// infinite value of any float flag set on fs, and a negative value of
+// any flag whose zero or sentinel default switches a subsystem off.
 func RegisterFlags(fs *flag.FlagSet) func() (Config, error) {
 	var (
 		policyName = fs.String("policy", "LERT", "allocation policy: LOCAL, RANDOM, BNQ, BNQRD, LERT, WORK")
@@ -101,6 +102,27 @@ func RegisterFlags(fs *flag.FlagSet) func() (Config, error) {
 		if nonFinite != nil {
 			return Config{}, nonFinite
 		}
+		// The same switches would read a negative value as "off" too.
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{
+			{"info-period", *infoPeriod}, {"mttf", *mttf}, {"mttr", *mttr}, {"drop", *drop},
+			{"net-delay", *netDelay}, {"fault-timeout", *faultTO}, {"slow-mttf", *slowMTTF},
+			{"brownout-mttf", *brownMTTF}, {"suspect-ratio", *susRatio}, {"est-noise", *estNoise},
+			{"admit-max", float64(*admitMax)}, {"admit-defer", *admitDef}, {"deadline", *deadline},
+			{"hedge-quantile", *hedgeQ}, {"objects", float64(*objects)},
+		} {
+			if f.v < 0 {
+				return Config{}, fmt.Errorf("-%s %v is negative", f.name, f.v)
+			}
+		}
+		if *faultTries < -1 {
+			return Config{}, fmt.Errorf("-fault-retries %d is below -1", *faultTries)
+		}
+		if *susPenalty < 0 && *susPenalty != -1 {
+			return Config{}, fmt.Errorf("-suspect-penalty %v is negative (-1 means the detector default)", *susPenalty)
+		}
 		kind, err := policy.ParseKind(*policyName)
 		if err != nil {
 			return Config{}, err
@@ -171,12 +193,6 @@ func RegisterFlags(fs *flag.FlagSet) func() (Config, error) {
 		} else if *susRatio != 0 || *susPenalty >= 0 {
 			return Config{}, fmt.Errorf("-suspect-ratio/-suspect-penalty require -suspect")
 		}
-		if *estNoise < 0 {
-			return Config{}, fmt.Errorf("-est-noise %v is negative", *estNoise)
-		}
-		if *admitDef < 0 {
-			return Config{}, fmt.Errorf("-admit-defer %v is negative", *admitDef)
-		}
 		if *estNoise > 0 {
 			dist, err := noise.ParseDist(*noiseDist)
 			if err != nil {
@@ -197,15 +213,11 @@ func RegisterFlags(fs *flag.FlagSet) func() (Config, error) {
 		}
 		if *deadline > 0 {
 			cfg.Deadline = DeadlineConfig{Enabled: true, Deadline: *deadline}
-		} else if *deadline < 0 {
-			return Config{}, fmt.Errorf("-deadline %v is negative", *deadline)
 		}
 		if *hedgeQ > 0 {
 			hc := DefaultHedge()
 			hc.Quantile = *hedgeQ
 			cfg.Hedge = hc
-		} else if *hedgeQ < 0 {
-			return Config{}, fmt.Errorf("-hedge-quantile %v is negative", *hedgeQ)
 		}
 		if *admitMax > 0 {
 			cfg.Admission = AdmissionConfig{

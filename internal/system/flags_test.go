@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"dqalloc/internal/fault"
+	"dqalloc/internal/loadinfo"
 	"dqalloc/internal/noise"
 )
 
@@ -38,6 +40,8 @@ func TestParseArgs(t *testing.T) {
 		}},
 		{[]string{"-est-noise", "0"}, func(c Config) bool { return !c.Noise.Enabled }},
 		{[]string{"-hyst", "0.2"}, func(c Config) bool { return c.Tuning.Hysteresis == 0.2 }},
+		{[]string{"-mttf", "500", "-fault-retries", "-1"}, func(c Config) bool { return c.Fault.MaxRetries == fault.Default().MaxRetries }},
+		{[]string{"-suspect", "-suspect-penalty", "-1"}, func(c Config) bool { return c.Suspect == loadinfo.DefaultSuspect() }},
 	}
 	for _, tt := range tests {
 		cfg, err := ParseArgs(tt.args)
@@ -52,6 +56,12 @@ func TestParseArgs(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bogus", "1"}, {"-pio", "1.5"}, {"-est-noise", "-0.5"}, {"-hyst", "1"},
 		{"-mpl", "2.5"}, {"-audit", "1"}, {"-pio", "NaN"}, {"-warmup", "-Inf"},
+		// A negative subsystem switch used to run the default silently.
+		{"-mttf", "-5"}, {"-mttr", "-1"}, {"-info-period", "-5"}, {"-slow-mttf", "-1"},
+		{"-brownout-mttf", "-1"}, {"-net-delay", "-1"}, {"-fault-timeout", "-9"},
+		{"-admit-max", "-3"}, {"-objects", "-2"}, {"-drop", "-0.5"},
+		{"-fault-retries", "-2"}, {"-suspect", "-suspect-penalty", "-0.5"},
+		{"-suspect", "-suspect-ratio", "-2"},
 	} {
 		if _, err := ParseArgs(args); err == nil {
 			t.Errorf("ParseArgs(%q) accepted", args)

@@ -8,6 +8,7 @@ import (
 	"dqalloc/internal/network"
 	"dqalloc/internal/noise"
 	"dqalloc/internal/policy"
+	"dqalloc/internal/queue"
 	"dqalloc/internal/rng"
 	"dqalloc/internal/sim"
 	"dqalloc/internal/site"
@@ -28,7 +29,7 @@ type System struct {
 	cfg   Config
 	sched *sim.Scheduler
 
-	sites []*site.Site
+	sites []site.Site
 	ring  *network.Ring
 	gen   *workload.Generator
 	table *loadinfo.Table
@@ -36,9 +37,9 @@ type System struct {
 	pol   policy.Policy
 	env   *policy.Env
 
-	think     []*rng.Stream // per-site terminal think streams
-	thinkFns  []sim.Action  // per-site submit actions, preallocated so think events cost no closure
-	objStream *rng.Stream   // object sampling (partial replication)
+	think     []rng.Stream // per-site terminal think streams
+	thinkFns  []sim.Action // per-site submit actions, preallocated so think events cost no closure
+	objStream *rng.Stream  // object sampling (partial replication)
 
 	measuring bool
 	startAt   float64
@@ -183,23 +184,28 @@ func New(cfg Config) (*System, error) {
 	if cfg.Migration.Enabled {
 		siteCfg.CycleHook = s.maybeMigrate
 	}
-	s.sites = make([]*site.Site, cfg.NumSites)
-	s.think = make([]*rng.Stream, cfg.NumSites)
+	// Every site, and every site's disks, live on one backing array each;
+	// what each site still allocates is its bound event actions.
+	s.sites = make([]site.Site, cfg.NumSites)
+	disks := make([]queue.FCFS[*workload.Query], cfg.NumSites*cfg.NumDisks)
+	s.think = make([]rng.Stream, cfg.NumSites)
 	s.thinkFns = make([]sim.Action, cfg.NumSites)
 	for i := range s.thinkFns {
 		home := i
 		s.thinkFns[i] = func() { s.submit(home) }
 	}
+	done := s.onExecDone
 	for i := range s.sites {
 		sc := siteCfg
 		if cfg.CPUSpeeds != nil {
 			sc.CPUSpeed = cfg.CPUSpeeds[i]
 		}
-		s.sites[i], err = site.New(i, s.sched, sc, root.Child(uint64(100+i)), s.onExecDone)
-		if err != nil {
+		stream := root.Derive(uint64(100 + i))
+		own := disks[i*cfg.NumDisks : (i+1)*cfg.NumDisks : (i+1)*cfg.NumDisks]
+		if err := s.sites[i].Init(i, s.sched, sc, &stream, own, done); err != nil {
 			return nil, err
 		}
-		s.think[i] = root.Child(uint64(1000 + i))
+		s.think[i] = root.Derive(uint64(1000 + i))
 	}
 
 	if cfg.Placement != nil {
@@ -338,8 +344,8 @@ func (s *System) beginMeasurement() {
 	now := s.sched.Now()
 	s.measuring = true
 	s.startAt = now
-	for _, st := range s.sites {
-		st.ResetStats(now)
+	for i := range s.sites {
+		s.sites[i].ResetStats(now)
 	}
 	s.ring.ResetStats(now)
 	if s.faults != nil {
@@ -603,9 +609,9 @@ func (s *System) collect(end float64) Results {
 	}
 	cpuUtil := make([]float64, len(s.sites))
 	diskUtil := make([]float64, len(s.sites))
-	for i, st := range s.sites {
-		cpuUtil[i] = st.CPUUtilization(end)
-		diskUtil[i] = st.DiskUtilization(end)
+	for i := range s.sites {
+		cpuUtil[i] = s.sites[i].CPUUtilization(end)
+		diskUtil[i] = s.sites[i].DiskUtilization(end)
 		r.CPUUtil += cpuUtil[i]
 		r.DiskUtil += diskUtil[i]
 	}
@@ -734,7 +740,8 @@ func (s *System) Audit() error {
 // siteCounts reports every site's instantaneous census for the
 // conservation auditor.
 func (s *System) siteCounts(buf []check.SiteCounts) []check.SiteCounts {
-	for _, st := range s.sites {
+	for i := range s.sites {
+		st := &s.sites[i]
 		cpu, disk := st.Occupancy()
 		buf = append(buf, check.SiteCounts{Active: st.Active(), AtCPU: cpu, AtDisk: disk})
 	}

@@ -45,6 +45,8 @@ func run(args []string) error {
 	if *full {
 		r = exper.Full()
 	}
+	// Replications run on every core; results are identical to serial.
+	r.Parallel = true
 
 	emit := func(t *report.Table) {
 		if *csv {

@@ -3,6 +3,7 @@ package exper
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -160,6 +161,29 @@ func TestParallelWorkerPool(t *testing.T) {
 	if a.MeanWait != c.MeanWait {
 		t.Errorf("oversized worker pool changed the aggregate: %v vs %v", a.MeanWait, c.MeanWait)
 	}
+}
+
+// BenchmarkRunnerParallel times a batch of 2·GOMAXPROCS replications of
+// the default model under LERT on the runner's worker pool, one worker
+// per P, and reports aggregate events/sec across the batch: multi-core
+// simulation throughput, which scales with cores while each worker owns
+// its own model.
+func BenchmarkRunnerParallel(b *testing.B) {
+	cfg := system.Default()
+	cfg.PolicyKind = policy.LERT
+	r := Runner{Reps: 2 * runtime.GOMAXPROCS(0), BaseSeed: 1, Warmup: 500, Measure: 4000, Parallel: true}
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		agg, err := r.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = agg.Events
+	}
+	if events == 0 {
+		b.Fatal("the batch fired no events")
+	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
 func TestRunToPrecision(t *testing.T) {

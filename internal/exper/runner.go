@@ -109,7 +109,7 @@ type Aggregate struct {
 	Completed uint64
 	// Events is the total count of kernel events fired across
 	// replications — the numerator of aggregate events/sec when the
-	// replication batch is timed (dqbench's parallel suite).
+	// replication batch is timed (BenchmarkRunnerParallel).
 	Events uint64
 }
 

@@ -425,10 +425,9 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelChurnExp mirrors the dqbench kernel/churn suite — a
-// 1024-event rolling window with exponential offsets — per
-// implementation, so `go test -bench` reproduces the acceptance metric
-// without the dqbench harness.
+// BenchmarkKernelChurnExp times one fired event of a 1024-event rolling
+// window with exponential offsets, per implementation: the pure
+// scheduler cost with no model around it.
 func BenchmarkKernelChurnExp(b *testing.B) {
 	for _, impl := range []Impl{Calendar, Heap} {
 		b.Run(impl.String(), func(b *testing.B) {

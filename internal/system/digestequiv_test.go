@@ -267,3 +267,40 @@ func TestLifecycleDigests(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLifecycle times one replication of each pinned dqsim command
+// line per op, under each scheduler, and reports the events it fires.
+// Auditing and the trace digest are off: performance is measured
+// unaudited. Sub-benchmarks are named scheduler/pin, so
+// -bench 'Lifecycle/^calendar$' runs one scheduler and
+// -bench 'Lifecycle/./^par-' one family of pins.
+func BenchmarkLifecycle(b *testing.B) {
+	for _, impl := range []sim.Impl{sim.Calendar, sim.Heap} {
+		b.Run(impl.String(), func(b *testing.B) {
+			for _, p := range dqsimPins {
+				b.Run(p.name, func(b *testing.B) {
+					cfg, err := ParseArgs(strings.Fields(p.args))
+					if err != nil {
+						b.Fatal(err)
+					}
+					cfg.Scheduler = impl
+					cfg.Audit, cfg.TraceDigest = false, false
+					b.ReportAllocs()
+					b.ResetTimer()
+					var events uint64
+					for i := 0; i < b.N; i++ {
+						sys, err := New(cfg)
+						if err != nil {
+							b.Fatal(err)
+						}
+						events = sys.Run().EventsFired
+					}
+					if events == 0 {
+						b.Fatal("the run fired no events")
+					}
+					b.ReportMetric(float64(events), "events/op")
+				})
+			}
+		})
+	}
+}

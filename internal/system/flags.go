@@ -92,7 +92,9 @@ func RegisterFlags(fs *flag.FlagSet) func() (Config, error) {
 		// The subsystem switches below test "> 0", which NaN fails
 		// silently, so every float flag must be finite.
 		var nonFinite error
+		set := map[string]bool{}
 		fs.Visit(func(f *flag.Flag) {
+			set[f.Name] = true
 			if g, ok := f.Value.(flag.Getter); ok && nonFinite == nil {
 				if x, ok := g.Get().(float64); ok && (math.IsNaN(x) || math.IsInf(x, 0)) {
 					nonFinite = fmt.Errorf("-%s %v is not a finite number", f.Name, x)
@@ -101,6 +103,32 @@ func RegisterFlags(fs *flag.FlagSet) func() (Config, error) {
 		})
 		if nonFinite != nil {
 			return Config{}, nonFinite
+		}
+		// A flag read only under its subsystem's switch would be ignored
+		// without it, whatever its value.
+		faultOn := *mttf > 0 || *drop > 0 || *netDelay > 0 || *slowMTTF > 0 || *brownMTTF > 0
+		for _, d := range []struct {
+			flags []string
+			on    bool
+			needs string
+		}{
+			{[]string{"mttr", "fault-timeout", "fault-retries"}, faultOn, "-mttf, -drop, -net-delay, -slow-mttf or -brownout-mttf"},
+			{[]string{"slow-mttr", "slow-factor", "slow-disk"}, *slowMTTF > 0, "-slow-mttf"},
+			{[]string{"brownout-mttr", "brownout-factor"}, *brownMTTF > 0, "-brownout-mttf"},
+			{[]string{"suspect-ratio", "suspect-penalty"}, *suspect, "-suspect"},
+			{[]string{"est-noise-dist"}, *estNoise > 0, "-est-noise"},
+			{[]string{"admit-defer", "admit-max-defers"}, *admitMax > 0, "-admit-max"},
+			{[]string{"rate"}, *arrivalP != "", "-arrival"},
+			{[]string{"burst"}, strings.EqualFold(*arrivalP, "mmpp"), "-arrival mmpp"},
+			{[]string{"par-join", "par-filter", "par-maxdop", "par-overhead", "par-hedge"}, *parMode != "", "-par-mode"},
+			{[]string{"copies", "rebuild"}, *objects > 0, "-objects"},
+			{[]string{"min-copies", "max-copies", "frag-size", "rebuild-delay", "scan", "hot", "cold", "degraded"}, *rebuild, "-rebuild"},
+		} {
+			for _, name := range d.flags {
+				if set[name] && !d.on {
+					return Config{}, fmt.Errorf("-%s requires %s", name, d.needs)
+				}
+			}
 		}
 		// The same switches would read a negative value as "off" too.
 		for _, f := range []struct {
@@ -151,7 +179,7 @@ func RegisterFlags(fs *flag.FlagSet) func() (Config, error) {
 		if cfg.Scheduler, err = sim.ParseImpl(*schedName); err != nil {
 			return Config{}, err
 		}
-		if *mttf > 0 || *drop > 0 || *netDelay > 0 || *slowMTTF > 0 || *brownMTTF > 0 {
+		if faultOn {
 			fc := fault.Default()
 			fc.MTTF = math.Inf(1) // crashes off unless -mttf is given
 			if *mttf > 0 {
@@ -190,8 +218,6 @@ func RegisterFlags(fs *flag.FlagSet) func() (Config, error) {
 				sc.Penalty = *susPenalty
 			}
 			cfg.Suspect = sc
-		} else if *susRatio != 0 || *susPenalty >= 0 {
-			return Config{}, fmt.Errorf("-suspect-ratio/-suspect-penalty require -suspect")
 		}
 		if *estNoise > 0 {
 			dist, err := noise.ParseDist(*noiseDist)
@@ -241,8 +267,6 @@ func RegisterFlags(fs *flag.FlagSet) func() (Config, error) {
 			pc.SplitOverhead = *parOverhead
 			pc.Hedge = *parHedge
 			cfg.Parallel = pc
-		} else if *parHedge {
-			return Config{}, fmt.Errorf("-par-hedge requires -par-mode")
 		}
 		if *objects > 0 {
 			p, err := replica.NewRoundRobin(*sites, *objects, *copies)
@@ -252,9 +276,6 @@ func RegisterFlags(fs *flag.FlagSet) func() (Config, error) {
 			cfg.Placement = p
 		}
 		if *rebuild {
-			if *objects <= 0 {
-				return Config{}, fmt.Errorf("-rebuild requires -objects")
-			}
 			rc := replica.DefaultManager()
 			rc.MinCopies = *copies
 			if *minCopies > 0 {

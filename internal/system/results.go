@@ -225,8 +225,8 @@ type Results struct {
 	// fired identical event sequences.
 	TraceDigest uint64
 	// EventsFired is the total number of scheduler events executed over
-	// the run's lifetime (warmup included) — the kernel-throughput
-	// denominator cmd/dqbench reports as events/sec.
+	// the run's lifetime (warmup included) — the numerator of the
+	// events/op and events/s the Go benchmarks report.
 	EventsFired uint64
 }
 

@@ -104,6 +104,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		timeout    = fs.Duration("timeout", 2*time.Second, "HTTP client timeout")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // usage is printed; asking for it is no failure
+		}
 		return err
 	}
 	if fs.NArg() != 0 {

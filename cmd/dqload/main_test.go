@@ -226,3 +226,15 @@ func TestRunWaitsForLateReadiness(t *testing.T) {
 		t.Errorf("driver gave up waiting: %q", out)
 	}
 }
+
+// TestRunHelpSucceeds: -h prints usage and is no error, so dqload -h
+// exits 0.
+func TestRunHelpSucceeds(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-h"}, &out); err != nil {
+		t.Fatalf("run -h = %v, want nil", err)
+	}
+	if !strings.Contains(out.String(), "Usage of dqload") {
+		t.Errorf("run -h printed no usage: %q", out.String())
+	}
+}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -38,6 +39,9 @@ func run(args []string) error {
 		class = fs.Int("class", 1, "arriving query's class (1 or 2)")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // usage is printed; asking for it is no failure
+		}
 		return err
 	}
 

@@ -46,3 +46,11 @@ func TestRunHappyPath(t *testing.T) {
 		t.Errorf("default analysis failed: %v", err)
 	}
 }
+
+// TestRunHelpSucceeds: -h prints usage and is no error, so dqmva -h
+// exits 0.
+func TestRunHelpSucceeds(t *testing.T) {
+	if err := run([]string{"-h"}); err != nil {
+		t.Fatalf("run -h = %v, want nil", err)
+	}
+}

@@ -74,6 +74,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		drain      = fs.Duration("drain-timeout", 10*time.Second, "graceful drain budget on shutdown")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // usage is printed; asking for it is no failure
+		}
 		return err
 	}
 	if fs.NArg() != 0 {
@@ -113,17 +116,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	fmt.Fprintf(w, "dqserve: policy=%s sites=%d ttl=%v listening on %s\n",
 		strings.ToUpper(*polName), *sites, *ttl, ln.Addr())
 
-	// Read and idle timeouts bound how long a stalled or silent client
-	// can pin a connection — without them one stuck peer can hold a
-	// graceful drain hostage for the whole drain budget.
-	hs := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		IdleTimeout:       30 * time.Second,
-	}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
+	go func() { errc <- srv.Serve(ln) }()
 
 	select {
 	case err := <-errc:
@@ -132,27 +126,16 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	case <-ctx.Done():
 	}
 
-	// Graceful drain: stop readiness and refuse new decides, let
-	// in-flight requests finish, then wait for the last decide.
+	// Graceful drain: readiness fails, new decides are refused, idle
+	// connections close, and requests in progress answer before the last
+	// connection and the last admitted decide are waited for.
 	fmt.Fprintln(w, "dqserve: draining")
-	srv.BeginDrain()
 	dctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	if err := hs.Shutdown(dctx); err != nil {
-		// Drain budget blown: force-close the listener and connections.
-		// Handlers may still be mid-flight; draining refuses every new
-		// decide, and each admitted one is bounded by its deadline, so
-		// give them a fresh beat to answer since dctx has expired.
-		hs.Close()
-		fctx, fcancel := context.WithTimeout(context.Background(), time.Second)
-		defer fcancel()
-		srv.Shutdown(fctx)
+	if err := srv.Shutdown(dctx); err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}
-	if err := srv.Shutdown(dctx); err != nil {
-		return err
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
 	st := srv.Stats()

@@ -8,6 +8,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,6 +33,9 @@ func run(args []string, w io.Writer) error {
 	)
 	build := system.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // usage is printed; asking for it is no failure
+		}
 		return err
 	}
 	// Build validates, so flag mistakes surface as one clean error even

@@ -516,3 +516,11 @@ func TestRunGoldenJSON(t *testing.T) {
 	}
 	checkGolden(t, "results_json.golden", buf.Bytes())
 }
+
+// TestRunHelpSucceeds: -h prints usage and is no error, so dqsim -h
+// exits 0.
+func TestRunHelpSucceeds(t *testing.T) {
+	if err := run([]string{"-h"}, io.Discard); err != nil {
+		t.Fatalf("run -h = %v, want nil", err)
+	}
+}

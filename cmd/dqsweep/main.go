@@ -17,6 +17,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -55,6 +56,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		seed     = fs.Uint64("seed", 1, "base seed")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // usage is printed; asking for it is no failure
+		}
 		return err
 	}
 	if !(*step > 0) {

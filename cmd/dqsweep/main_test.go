@@ -171,3 +171,15 @@ func TestRunSweepPoints(t *testing.T) {
 		t.Errorf("pio points %q, want %q", got, want)
 	}
 }
+
+// TestRunHelpSucceeds: -h prints usage and is no error, so dqsweep -h
+// exits 0.
+func TestRunHelpSucceeds(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-h"}, &out); err != nil {
+		t.Fatalf("run -h = %v, want nil", err)
+	}
+	if !strings.Contains(out.String(), "Usage of dqsweep") {
+		t.Errorf("run -h printed no usage: %q", out.String())
+	}
+}

@@ -17,3 +17,11 @@ func TestRunUnknownTable(t *testing.T) {
 		t.Error("unknown table accepted")
 	}
 }
+
+// TestRunHelpSucceeds: -h prints usage and is no error, so dqtables -h
+// exits 0.
+func TestRunHelpSucceeds(t *testing.T) {
+	if err := run([]string{"-h"}); err != nil {
+		t.Fatalf("run -h = %v, want nil", err)
+	}
+}

@@ -102,6 +102,8 @@ type Server struct {
 	idle     chan struct{} // closed once draining with no active decide
 	idleOnce sync.Once
 
+	tr transport // Serve's listeners and connections
+
 	mu    sync.Mutex
 	st    Stats
 	hist  *stats.LogHistogram
@@ -123,6 +125,7 @@ func NewServer(cfg Config) (*Server, error) {
 		idle:  make(chan struct{}),
 	}
 	s.initLatencyHists()
+	s.tr.init()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/decide", s.handleDecide)
 	s.mux.HandleFunc("/v1/report", s.handleReport)
@@ -132,7 +135,8 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Handler returns the HTTP handler tree.
+// Handler returns the HTTP handler tree, the one Serve runs. It serves
+// in process (httptest, embedders) or under another HTTP server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Core exposes the decision engine (report ingestion in embedders).
@@ -151,16 +155,22 @@ func (s *Server) BeginDrain() {
 // Draining reports whether BeginDrain (or Shutdown) has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Shutdown drains the server and returns once every admitted decide has
-// answered. Idempotent; the context bounds the wait.
+// Shutdown drains the server: it begins draining, closes Serve's
+// listeners and idle connections at once, lets each request in progress
+// answer with "Connection: close", and returns once every connection has
+// closed and every admitted decide has answered. Idempotent; the context
+// bounds the wait.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.BeginDrain()
-	select {
-	case <-s.idle:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("serve: shutdown: %w", ctx.Err())
+	s.tr.close()
+	for _, done := range [...]chan struct{}{s.tr.done, s.idle} {
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return fmt.Errorf("serve: shutdown: %w", ctx.Err())
+		}
 	}
+	return nil
 }
 
 // Close is Shutdown with a short grace period, for tests.
